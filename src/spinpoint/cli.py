@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import matio
-from .analysis import nilpotency_report, normality_report, phi_family
+from .analysis import nilpotency_report, normality_report, sweep_phi
 from .cmatrix import CMatrix, DEFAULT_TOLERANCE, Tolerance, rank
 from .errors import SpinpointError, ConvergenceError, SheetTrackingError, \
     ZeroDiscriminantError
@@ -240,26 +240,6 @@ def _cmd_fermi(args) -> str:
         "eigenvalues": [_complex_pair(v) for v in analysis.eigenvalues],
         "zero_multiplicity": analysis.geometric_multiplicity_of_zero,
     }, sort_keys=True)
-
-
-def sweep_phi(steps: int) -> list[dict]:
-    """Rows (phi, closed-form eigenvalue pair, defect, henrici) on the
-    uniform grid phi = k (pi/2) / (steps - 1)."""
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    rows = []
-    for k in range(steps):
-        phi = k * (np.pi / 2.0) / (steps - 1)
-        point = phi_family(phi)
-        report = normality_report(point.matrix)
-        rows.append({
-            "phi": float(phi),
-            "lam_plus": point.eigenvalues[0],
-            "lam_minus": point.eigenvalues[1],
-            "defect": report.defect,
-            "henrici": report.henrici,
-        })
-    return rows
 
 
 def _cmd_sweep_phi(args) -> str:

@@ -253,34 +253,13 @@ def _det_lu(mat: np.ndarray) -> complex:
     return complex(out)
 
 
-def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Numerical rank via Gaussian elimination with full pivoting.
+def _full_pivot_eliminate(a: CMatrix, tol: Tolerance
+                          ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Gaussian elimination with full pivoting, stopped at the first pivot
+    at or below ``tol.effective(a)``.
 
-    Pivots at or below the effective threshold
-    ``tol.absolute + tol.relative * n * ||A||_F`` count as zero.
-    """
-    threshold = tol.effective(a)
-    m = np.array(a.data, dtype=complex)
-    rows, cols = m.shape
-    r = 0
-    while r < min(rows, cols):
-        sub_abs = np.abs(m[r:, r:])
-        i, j = np.unravel_index(int(sub_abs.argmax()), sub_abs.shape)
-        if sub_abs[i, j] <= threshold:
-            break
-        m[[r, r + i]] = m[[r + i, r]]
-        m[:, [r, r + j]] = m[:, [r + j, r]]
-        m[r + 1:, r:] -= np.outer(m[r + 1:, r] / m[r, r], m[r, r:])
-        r += 1
-    return r
-
-
-def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """Orthonormal-ish basis of the numerical null space.
-
-    Full-pivot elimination with column tracking; one normalized vector
-    per free column. The basis spans the null space but is not
-    orthogonalized (callers needing projections should orthonormalize).
+    Returns the reduced matrix (upper triangular in its leading r x r
+    block), the rank r and the column permutation applied to reach it.
     """
     threshold = tol.effective(a)
     m = np.array(a.data, dtype=complex)
@@ -297,6 +276,27 @@ def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray
         colperm[[r, r + j]] = colperm[[r + j, r]]
         m[r + 1:, r:] -= np.outer(m[r + 1:, r] / m[r, r], m[r, r:])
         r += 1
+    return m, r, colperm
+
+
+def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+    """Numerical rank via Gaussian elimination with full pivoting.
+
+    Pivots at or below the effective threshold
+    ``tol.absolute + tol.relative * n * ||A||_F`` count as zero.
+    """
+    return _full_pivot_eliminate(a, tol)[1]
+
+
+def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray]:
+    """Orthonormal-ish basis of the numerical null space.
+
+    Full-pivot elimination with column tracking; one normalized vector
+    per free column. The basis spans the null space but is not
+    orthogonalized (callers needing projections should orthonormalize).
+    """
+    m, r, colperm = _full_pivot_eliminate(a, tol)
+    cols = a.cols
     basis = []
     for free in range(r, cols):
         x = np.zeros(cols, dtype=complex)

@@ -10,8 +10,10 @@ recovered bivariate coefficients, then certified by recomputing the
 eigenvalue gap at the refined parameter.
 
 Sheet structure around a point is probed by walking eigenvalues along a
-closed loop with minimal-distance matching (Hungarian fallback) and
-adaptive step bisection, returning the permutation the loop induces.
+closed loop, continuing each sheet to its nearest new eigenvalue, and
+bisecting any step on which two sheets claim the same value or a sheet
+jumps by more than half the sheet gap; the loop returns the permutation
+it induces.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, char_poly,
-                      eigenvalues, frobenius_norm, rank)
+from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _det_lu,
+                      char_poly, eigenvalues, frobenius_norm, rank)
 from .errors import (DimensionError, SheetTrackingError, SpinpointError,
                      ZeroDiscriminantError)
 
@@ -141,24 +142,6 @@ def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _det_with_bound(mat: np.ndarray) -> tuple[complex, float]:
-    """LU determinant with partial pivoting plus the Hadamard row bound."""
-    m = np.array(mat, dtype=complex)
-    n = m.shape[0]
-    hadamard = float(np.prod(np.linalg.norm(mat, axis=1)))
-    out = 1.0 + 0.0j
-    for k in range(n):
-        p = int(np.abs(m[k:, k]).argmax()) + k
-        if m[p, k] == 0.0:
-            return 0.0 + 0.0j, hadamard
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            out = -out
-        out *= m[k, k]
-        m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
-    return complex(out), hadamard
-
-
 class _PencilData:
     """Shared sampling products: circle, per-sample char-poly rows,
     discriminant samples, and the recovered polynomials."""
@@ -180,9 +163,11 @@ class _PencilData:
             coeffs = char_poly(pencil.at(z))
             char_rows[j] = coeffs
             dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-            value, bound = _det_with_bound(_sylvester(coeffs, dcoeffs))
+            sylvester = _sylvester(coeffs, dcoeffs)
+            value = _det_lu(sylvester)
             disc[j] = value
-            if abs(value) <= _DET_ZERO_RATIO * bound:
+            hadamard = float(np.prod(np.linalg.norm(sylvester, axis=1)))
+            if abs(value) <= _DET_ZERO_RATIO * hadamard:
                 zero_like += 1
         if zero_like == count:
             raise ZeroDiscriminantError(
@@ -336,26 +321,23 @@ def _newton_refine(poly: _Bivariate, e0: complex, z0: complex
     return e, z, converged
 
 
+def _pair_distances(values: np.ndarray) -> np.ndarray:
+    """|v_i - v_j| for all i, j, with inf on the diagonal."""
+    # hypot rounds like abs() of one complex; numpy's vectorised complex
+    # abs can differ in the last bit, and the gap is a reported figure.
+    diff = values[:, None] - values
+    dist = np.hypot(diff.real, diff.imag)
+    dist.flat[::len(values) + 1] = np.inf
+    return dist
+
+
 def _closest_pair_mean(values: np.ndarray) -> complex:
-    best = (np.inf, 0, 1)
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(values[i] - values[j])
-            if d < best[0]:
-                best = (d, i, j)
-    return complex((values[best[1]] + values[best[2]]) / 2.0)
+    i, j = divmod(int(_pair_distances(values).argmin()), len(values))
+    return complex((values[i] + values[j]) / 2.0)
 
 
 def _min_gap(values: np.ndarray) -> float:
-    n = len(values)
-    if n < 2:
-        return np.inf
-    gap = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = min(gap, abs(values[i] - values[j]))
-    return float(gap)
+    return float(_pair_distances(values).min())
 
 
 def _cluster(points: list[complex], factor: float = 1.0) -> list[list[int]]:
@@ -440,7 +422,8 @@ def find_exceptional_points(pencil: PencilFamily,
         disc_residual = abs(data.disc_at(z)) / data.disc_scale
         scale = 1.0 + norm_a + abs(z) * norm_b
         shifted = CMatrix(pencil.at(z).data - e * np.eye(n))
-        geo_rank = _rank_with_floor(shifted, tol, floor=10.0 * gap)
+        geo_rank = rank(shifted, Tolerance(
+            absolute=max(tol.absolute, 10.0 * gap), relative=tol.relative))
         accepted = gap <= _GAP_CERTIFICATION * scale and \
             disc_residual <= _GAP_CERTIFICATION
         candidates.append(EPCandidate(
@@ -451,64 +434,44 @@ def find_exceptional_points(pencil: PencilFamily,
     return candidates
 
 
-def _rank_with_floor(m: CMatrix, tol: Tolerance, floor: float) -> int:
-    return rank(m, Tolerance(absolute=max(tol.absolute, floor),
-                             relative=tol.relative))
-
-
 # ---------------------------------------------------------------------------
 # Sheet tracing
 
 
-def _match_indices(previous: np.ndarray, new_values: np.ndarray) -> np.ndarray:
-    """Pairing p with p[k] = index in ``new_values`` continuing sheet k.
+def _match_indices(previous: np.ndarray,
+                   new_values: np.ndarray) -> np.ndarray | None:
+    """Pairing p with p[k] = index in ``new_values`` nearest to sheet k,
+    or None when two sheets claim the same value.
 
-    Greedy minimal-distance pairing; if its total cost exceeds twice the
-    row-minimum lower bound, the Hungarian assignment is used instead.
+    A step is accepted only when every matched jump is at most half the
+    sheet gap, and under that condition each sheet's nearest new value
+    is unique; a clash therefore always means the step must be bisected.
     """
-    n = len(previous)
-    dist = np.abs(previous[:, None] - new_values[None, :])
-    order = np.argsort(dist, axis=None)
-    assigned_prev = np.zeros(n, dtype=bool)
-    assigned_new = np.zeros(n, dtype=bool)
-    pairing = np.empty(n, dtype=int)
-    greedy_cost = 0.0
-    matched = 0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if assigned_prev[i] or assigned_new[j]:
-            continue
-        pairing[i] = j
-        assigned_prev[i] = True
-        assigned_new[j] = True
-        greedy_cost += dist[i, j]
-        matched += 1
-        if matched == n:
-            break
-    lower_bound = float(dist.min(axis=1).sum())
-    if greedy_cost > 2.0 * lower_bound:
-        rows, cols = linear_sum_assignment(dist)
-        pairing[rows] = cols
+    pairing = np.abs(previous[:, None] - new_values).argmin(axis=1)
+    if len(set(pairing.tolist())) < len(pairing):
+        return None
     return pairing
-
-
-def _match(previous: np.ndarray, new_values: np.ndarray) -> np.ndarray:
-    return new_values[_match_indices(previous, new_values)]
 
 
 def _continue_segment(pencil: PencilFamily, path: PathSpec,
                       current: np.ndarray, t_from: float, t_to: float,
                       depth: int, step_index: int) -> np.ndarray:
-    new_values = _match(current, np.asarray(eigenvalues(pencil.at(path.point(t_to)))))
-    jump = float(np.abs(new_values - current).max())
-    gap = min(_min_gap(current), _min_gap(new_values))
-    if len(current) == 1 or jump <= 0.5 * gap:
-        return new_values
+    new_values = np.asarray(eigenvalues(pencil.at(path.point(t_to))))
+    pairing = _match_indices(current, new_values)
+    if pairing is None:
+        failure = "two sheets continue to the same eigenvalue"
+    else:
+        new_values = new_values[pairing]
+        jump = float(np.abs(new_values - current).max())
+        gap = min(_min_gap(current), _min_gap(new_values))
+        if len(current) == 1 or jump <= 0.5 * gap:
+            return new_values
+        failure = f"jump {jump:.3e} exceeds half the sheet gap {gap:.3e}"
     if depth >= _MAX_BISECTIONS:
         raise SheetTrackingError(
-            f"eigenvalue continuation failed at step {step_index}: jump "
-            f"{jump:.3e} exceeds half the sheet gap {gap:.3e} after "
-            f"{_MAX_BISECTIONS} bisections", step_index=step_index)
+            f"eigenvalue continuation failed at step {step_index}: "
+            f"{failure} after {_MAX_BISECTIONS} bisections",
+            step_index=step_index)
     t_mid = 0.5 * (t_from + t_to)
     half = _continue_segment(pencil, path, current, t_from, t_mid,
                              depth + 1, step_index)
@@ -547,6 +510,10 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
         trajectories.append(tuple(complex(v) for v in current))
 
     pairing = _match_indices(current, start)
+    if pairing is None:
+        raise SheetTrackingError(
+            "loop failed to close: two sheets end at the same starting "
+            "eigenvalue", step_index=path.steps)
     closure_error = float(np.abs(start[pairing] - current).max())
     limit = 1e-6 * frobenius_norm(pencil.at(path.center))
     if closure_error > limit:

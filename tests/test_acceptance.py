@@ -17,7 +17,8 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        two_qubit_tangle)
 
 from conftest import SIGMA1, SIGMA3, random_hermitian
-from test_analysis import product_state_tangle_oracle
+from test_analysis import commutator_oracle, product_state_tangle_oracle
+from test_fermi import brute_force_rep
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -192,7 +193,9 @@ def test_criterion_08_normality_criteria():
                 if sp.frobenius_norm(sp.commutator(a, b)) > 1e-3:
                     break
             expect_normal = False
-        if sp.hermitian_pair_is_normal(a, b) != expect_normal:
+        verdict = sp.hermitian_pair_is_normal(a, b)
+        assert verdict == commutator_oracle(a, b)
+        if verdict != expect_normal:
             misclassified += 1
     assert misclassified == 0
 
@@ -226,12 +229,12 @@ def test_criterion_09_fermi_representation():
     for v in printed_null:
         assert np.linalg.norm(v - q @ (q.conj().T @ v)) <= 1e-10
 
-    # block rule vs brute-force Fock construction, checked inside the
-    # constructor with exact equality
+    # block rule vs brute-force Fock construction, exact equality
     rng = np.random.default_rng(52)
     for _ in range(100):
         m = CMatrix(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        quadratic_fermi_rep(m)
+        assert np.array_equal(quadratic_fermi_rep(m).rep.data,
+                              brute_force_rep(m.data))
 
 
 def test_criterion_10_tangle():

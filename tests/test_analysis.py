@@ -14,6 +14,13 @@ def spin_hamiltonian(twice, axis=1):
     return sp.nonnormal_hamiltonian(Spin(twice), axis, 1j)
 
 
+def commutator_oracle(a, b):
+    """Independent check: A + iB (A, B hermitian) is normal iff [A, B] = 0,
+    since its normality defect equals 2 ||[A, B]||_F."""
+    threshold = sp.DEFAULT_TOLERANCE.effective(CMatrix(a.data + 1j * b.data))
+    return 2.0 * sp.frobenius_norm(sp.commutator(a, b)) <= threshold
+
+
 class TestNormalityReport:
     def test_nonnormal_two_by_two(self):
         report = sp.normality_report(CMatrix(SIGMA3 + 1j * SIGMA1))
@@ -81,6 +88,7 @@ class TestHermitianPair:
             a = CMatrix(c.data @ c.data + 2.0 * c.data)
             b = CMatrix(c.data @ c.data @ c.data - c.data)
             assert sp.hermitian_pair_is_normal(a, b) is True
+            assert commutator_oracle(a, b)
 
     def test_generic_pairs_do_not(self, rng):
         count = 0
@@ -89,7 +97,19 @@ class TestHermitianPair:
             if sp.frobenius_norm(sp.commutator(a, b)) > 1e-3:
                 count += 1
                 assert sp.hermitian_pair_is_normal(a, b) is False
+                assert not commutator_oracle(a, b)
         assert count == 20
+
+    def test_near_threshold_pair_follows_defect(self):
+        # The defect of A + iB and 2 ||[A, B]|| round to opposite sides of
+        # the threshold here; the verdict is the defect test's.
+        rng = np.random.default_rng(1)
+        a = random_hermitian(rng, 3)
+        b = CMatrix(6.544801980564299e-13 * random_hermitian(rng, 3).data)
+        verdict = sp.hermitian_pair_is_normal(a, b)
+        assert isinstance(verdict, bool)
+        assert verdict == sp.normality_report(
+            CMatrix(a.data + 1j * b.data)).is_normal
 
 
 class TestNilpotency:

@@ -1,10 +1,14 @@
 """CLI behavior: outputs, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinpoint
 from spinpoint import CMatrix, matio
 from spinpoint.cli import main
 
@@ -214,6 +218,19 @@ class TestSweepPhi:
         code, _, err = run("sweep-phi", "--steps", "1")
         assert code == 1
         assert err.startswith("invalid-steps:")
+
+
+class TestImport:
+    def test_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(spinpoint.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, spinpoint.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestToleranceEnv:

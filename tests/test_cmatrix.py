@@ -8,8 +8,8 @@ import spinpoint as sp
 from spinpoint import CMatrix, Tolerance
 from spinpoint.errors import DimensionError, NonFiniteError
 
-from conftest import (SIGMA1, SIGMA3, random_cmatrix, random_hermitian,
-                      random_unitary)
+from conftest import (SIGMA1, SIGMA3, random_complex, random_cmatrix,
+                      random_hermitian, random_unitary)
 
 
 class TestConstruction:
@@ -212,6 +212,12 @@ class TestNullspace:
         assert len(basis) == 3
         for v in basis:
             assert np.linalg.norm(wide.data @ v) < 1e-12 * np.linalg.norm(wide.data)
+        # rank + nullity = cols on wide, tall and square rank-deficient inputs
+        tall = CMatrix(random_complex(rng, 6, 2) @ random_complex(rng, 2, 3))
+        square = CMatrix(random_complex(rng, 5, 3) @ random_complex(rng, 3, 5))
+        for m, r in ((wide, 2), (tall, 2), (square, 3)):
+            assert sp.rank(m) == r
+            assert sp.rank(m) + len(sp.nullspace(m)) == m.cols
 
 
 class TestCharPoly:

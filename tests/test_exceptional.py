@@ -8,6 +8,7 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        discriminant_poly, find_exceptional_points,
                        trace_sheets)
 from spinpoint.errors import ZeroDiscriminantError
+from spinpoint.exceptional import _match_indices
 
 from conftest import SIGMA1, SIGMA3, random_cmatrix
 
@@ -155,6 +156,30 @@ def analytic_sheet_swap_oracle(path):
         candidate = np.sqrt(1.0 + 4.0 * path.point(j / path.steps) ** 2)
         w = candidate if abs(candidate - w) <= abs(-candidate - w) else -candidate
     return bool(abs(w + first) < abs(w - first))
+
+
+class TestMatching:
+    def test_nearest_value_equals_optimal_assignment(self, rng):
+        # Within half the sheet gap the nearest-value pairing is the
+        # minimal-cost assignment.
+        from scipy.optimize import linear_sum_assignment
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            previous = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            gap = np.abs(previous[:, None] - previous[None, :])[
+                np.triu_indices(n, 1)].min()
+            moved = previous + 0.499 * gap * rng.random(n) * \
+                np.exp(2j * np.pi * rng.random(n))
+            new_values = moved[rng.permutation(n)]
+            rows, cols = linear_sum_assignment(
+                np.abs(previous[:, None] - new_values[None, :]))
+            assert np.array_equal(_match_indices(previous, new_values),
+                                  cols[np.argsort(rows)])
+
+    def test_clash_returns_no_pairing(self):
+        previous = np.array([0.0, 1.0, 3.0 + 1j])
+        new_values = np.array([0.4, 5.0, 3.0 + 1j])
+        assert _match_indices(previous, new_values) is None
 
 
 class TestTraceSheets:

@@ -10,6 +10,47 @@ from spinpoint.errors import DimensionError
 
 from conftest import random_cmatrix
 
+# Occupation (n1, n2) of each Fock basis ket, in basis order.
+FOCK_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def annihilate(mode, occ):
+    """Apply c_mode to an occupation ket; returns (sign, occ) with sign 0
+    when the mode is empty. The sign is (-1)^(operators to jump over)."""
+    n1, n2 = occ
+    if mode == 1:
+        return (1, (0, n2)) if n1 == 1 else (0, occ)
+    if n2 == 1:
+        return ((-1) ** n1, (n1, 0))
+    return (0, occ)
+
+
+def create(mode, occ):
+    n1, n2 = occ
+    if mode == 1:
+        return (1, (1, n2)) if n1 == 0 else (0, occ)
+    if n2 == 0:
+        return ((-1) ** n1, (n1, 1))
+    return (0, occ)
+
+
+def brute_force_rep(m):
+    """Independent check: sum m_jk c_j^dag c_k applied to each basis ket
+    through the anticommutation relations."""
+    rep = np.zeros((4, 4), dtype=complex)
+    for col, occ in enumerate(FOCK_BASIS):
+        for j in (1, 2):
+            for k in (1, 2):
+                sign_a, occ_a = annihilate(k, occ)
+                if sign_a == 0:
+                    continue
+                sign_c, occ_c = create(j, occ_a)
+                if sign_c == 0:
+                    continue
+                rep[FOCK_BASIS.index(occ_c), col] += \
+                    m[j - 1, k - 1] * sign_a * sign_c
+    return rep
+
 
 def printed_example():
     return quadratic_fermi_rep(CMatrix([[1.0, 1j], [1j, -1.0]]))
@@ -35,10 +76,10 @@ class TestConstruction:
         assert rep.data[0, 0] == 0.0
 
     def test_block_rule_equals_brute_force(self, rng):
-        # the constructor asserts exact equality internally; run it on
-        # many random coefficient matrices
         for _ in range(100):
-            quadratic_fermi_rep(random_cmatrix(rng, 2))
+            m = random_cmatrix(rng, 2)
+            assert np.array_equal(quadratic_fermi_rep(m).rep.data,
+                                  brute_force_rep(m.data))
 
     def test_linearity_exact(self, rng):
         # exact except the trace corner, where float addition
