@@ -90,6 +90,12 @@ def _hermiticity_defect(a: CMatrix) -> float:
     return float(np.linalg.norm(a.data - a.data.conj().T))
 
 
+def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool]:
+    """The defect ||A A* - A* A||_F and whether it is within tolerance."""
+    defect = frobenius_norm(commutator(a, adjoint(a)))
+    return defect, defect <= tol.effective(a)
+
+
 def normality_report(a: CMatrix,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> NormalityReport:
     """Defect, Henrici departure, and normal/hermitian flags.
@@ -98,8 +104,7 @@ def normality_report(a: CMatrix,
     the Henrici field.
     """
     a.require_square("normality_report")
-    defect = frobenius_norm(commutator(a, adjoint(a)))
-    threshold = tol.effective(a)
+    defect, is_normal = _normality(a, tol)
     try:
         t = schur(a).t.data
         henrici = float(np.linalg.norm(np.triu(t, 1)))
@@ -108,8 +113,8 @@ def normality_report(a: CMatrix,
     return NormalityReport(
         defect=defect,
         henrici=henrici,
-        is_normal=defect <= threshold,
-        is_hermitian=_hermiticity_defect(a) <= threshold,
+        is_normal=is_normal,
+        is_hermitian=_hermiticity_defect(a) <= tol.effective(a),
     )
 
 
@@ -117,10 +122,11 @@ def hermitian_pair_is_normal(a: CMatrix, b: CMatrix,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether A + iB is normal, for hermitian A and B.
 
-    The verdict is ``normality_report(A + iB, tol).is_normal``. In exact
-    arithmetic the defect of A + iB equals 2 ||[A, B]||_F, so this is the
-    commutator criterion; near the threshold the two roundings can
-    differ, and the defect decides.
+    The verdict is ``normality_report(A + iB, tol).is_normal``, decided
+    from the defect alone, without the Schur form. In exact arithmetic
+    the defect of A + iB equals 2 ||[A, B]||_F, so this is the commutator
+    criterion; near the threshold the two roundings can differ, and the
+    defect decides.
     """
     a.require_square("hermitian_pair_is_normal")
     b.require_square("hermitian_pair_is_normal")
@@ -129,7 +135,7 @@ def hermitian_pair_is_normal(a: CMatrix, b: CMatrix,
     for name, m in (("a", a), ("b", b)):
         if _hermiticity_defect(m) > tol.effective(m):
             raise ValueError(f"matrix {name} is not hermitian")
-    return normality_report(CMatrix(a.data + 1j * b.data), tol).is_normal
+    return _normality(CMatrix(a.data + 1j * b.data), tol)[1]
 
 
 def _eigenvalue_scatter_threshold(a: CMatrix) -> float:
@@ -206,7 +212,7 @@ def phi_family(phi: float) -> PhiFamilyPoint:
     raw = tuple(np.array([phase, -1.0 + lv], dtype=complex)
                 for lv in lam_pair)
     unit = tuple(v / np.linalg.norm(v) for v in raw)
-    defect = normality_report(matrix).defect
+    defect = _normality(matrix, DEFAULT_TOLERANCE)[0]
     in_range = 0.0 <= phi <= np.pi / 2.0
     return PhiFamilyPoint(phi=float(phi), matrix=matrix,
                           eigenvalues=lam_pair, eigenvectors_raw=raw,

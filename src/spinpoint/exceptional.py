@@ -3,11 +3,16 @@
 The discriminant D(z) -- the resultant in E of the characteristic
 polynomial and its E-derivative -- is sampled on a circle via Sylvester
 determinants, its coefficients recovered by the discrete Fourier
-relations, and its roots taken as companion-matrix eigenvalues. Each
-root is refined by Newton iteration on the simultaneous system
-(p(E, z) = 0, dp/dE(E, z) = 0) with the analytic Jacobian from the
-recovered bivariate coefficients, then certified by recomputing the
-eigenvalue gap at the refined parameter.
+relations, and its roots taken as companion-matrix eigenvalues. The
+roots are split into one group per EP by the eigenvalue gap of H(z): a
+group is one EP when H at the group's centroid is no farther from
+degenerate than at any member, and the members sit on a circle around
+the centroid. A multiple root of D scatters its companion roots on such
+a circle, but their centroid is well conditioned (Kravanja and Van
+Barel, LNM 1727), so a group reports its centroid; a single root is
+polished by Newton iteration on D, with D(z) taken from the eigenvalues
+of H(z). Every candidate is certified by the eigenvalue gap at the
+reported parameter.
 
 Sheet structure around a point is probed by walking eigenvalues along a
 closed loop, continuing each sheet to its nearest new eigenvalue, and
@@ -38,9 +43,7 @@ _DET_ZERO_RATIO = 1e-10
 # are truncated.
 _COEFF_TRUNCATION = 1e-8
 
-_NEWTON_MAX_ITER = 60
 _NEWTON_STEP_TOL = 1e-13
-_DEDUP_RADIUS = 1e-8
 _GAP_CERTIFICATION = 1e-6
 _MAX_BISECTIONS = 8
 
@@ -75,7 +78,9 @@ class EPCandidate:
 
     ``gap`` is the smallest pairwise eigenvalue distance of H(z);
     ``discriminant_residual`` is |D(z)| normalized by the largest sample
-    of |D| on the interpolation circle; ``geometric_multiplicity`` of
+    of |D| on the interpolation circle; ``newton_converged`` is True for
+    a simple root whose Newton polish converged and False for a cluster
+    centroid, which is not polished; ``geometric_multiplicity`` of
     the degenerate eigenvalue distinguishes defective points (1) from
     diagonalizable crossings (>= 2). ``accepted`` certifies the gap and
     discriminant bounds calibrated for two-fold defective points;
@@ -142,63 +147,38 @@ def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s
 
 
-class _PencilData:
-    """Shared sampling products: circle, per-sample char-poly rows,
-    discriminant samples, and the recovered polynomials."""
-
-    def __init__(self, pencil: PencilFamily, samples: int | None):
-        n = pencil.size
-        if n < 2:
-            raise DimensionError("discriminant requires a pencil of size >= 2")
-        degree_bound = n * (n - 1)
-        count = samples if samples is not None else degree_bound + 1
-        if count < degree_bound + 1:
-            raise ValueError(f"need at least {degree_bound + 1} samples")
-        radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
-        nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-        char_rows = np.empty((count, n + 1), dtype=complex)
-        disc = np.empty(count, dtype=complex)
-        zero_like = 0
-        for j, z in enumerate(nodes):
-            coeffs = char_poly(pencil.at(z))
-            char_rows[j] = coeffs
-            dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-            sylvester = _sylvester(coeffs, dcoeffs)
-            value = _det_lu(sylvester)
-            disc[j] = value
-            hadamard = float(np.prod(np.linalg.norm(sylvester, axis=1)))
-            if abs(value) <= _DET_ZERO_RATIO * hadamard:
-                zero_like += 1
-        if zero_like == count:
-            raise ZeroDiscriminantError(
-                "discriminant vanishes identically: every parameter value "
-                "is degenerate")
-        self.pencil = pencil
-        self.radius = radius
-        self.nodes = nodes
-        self.disc_samples = disc
-        self.disc_scale = float(np.abs(disc).max())
-        # E^k coefficient of char(H(z)) as a polynomial in z, one row per k.
-        self.char_z = np.vstack([
-            self._circle_coeffs(char_rows[:, k]) for k in range(n + 1)
-        ])
-        self.disc_coeffs = self._truncate(self._circle_coeffs(disc))
-
-    def _circle_coeffs(self, values: np.ndarray) -> np.ndarray:
-        count = len(values)
-        c = np.fft.fft(values) / count
-        return c / self.radius ** np.arange(count)
-
-    @staticmethod
-    def _truncate(coeffs: np.ndarray) -> np.ndarray:
-        peak = np.abs(coeffs).max()
-        degree = len(coeffs) - 1
-        while degree > 0 and abs(coeffs[degree]) < _COEFF_TRUNCATION * peak:
-            degree -= 1
-        return coeffs[:degree + 1]
-
-    def disc_at(self, z: complex) -> complex:
-        return complex(np.polyval(self.disc_coeffs[::-1], z))
+def _discriminant(pencil: PencilFamily,
+                  samples: int | None) -> tuple[np.ndarray, float]:
+    """Recovered discriminant coefficients (low to high in z, trailing
+    near-zero ones truncated) and the largest |D| sample on the circle."""
+    n = pencil.size
+    if n < 2:
+        raise DimensionError("discriminant requires a pencil of size >= 2")
+    degree_bound = n * (n - 1)
+    count = samples if samples is not None else degree_bound + 1
+    if count < degree_bound + 1:
+        raise ValueError(f"need at least {degree_bound + 1} samples")
+    radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
+    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    disc = np.empty(count, dtype=complex)
+    zero_like = 0
+    for j, z in enumerate(nodes):
+        coeffs = char_poly(pencil.at(z))
+        sylvester = _sylvester(coeffs, coeffs[1:] * np.arange(1, n + 1))
+        disc[j] = _det_lu(sylvester)
+        hadamard = float(np.prod(np.linalg.norm(sylvester, axis=1)))
+        if abs(disc[j]) <= _DET_ZERO_RATIO * hadamard:
+            zero_like += 1
+    if zero_like == count:
+        raise ZeroDiscriminantError(
+            "discriminant vanishes identically: every parameter value "
+            "is degenerate")
+    coeffs = np.fft.fft(disc) / count / radius ** np.arange(count)
+    peak = np.abs(coeffs).max()
+    degree = count - 1
+    while degree > 0 and abs(coeffs[degree]) < _COEFF_TRUNCATION * peak:
+        degree -= 1
+    return coeffs[:degree + 1], float(np.abs(disc).max())
 
 
 def discriminant_poly(pencil: PencilFamily,
@@ -215,7 +195,7 @@ def discriminant_poly(pencil: PencilFamily,
     ZeroDiscriminantError
         If the discriminant vanishes identically.
     """
-    return _PencilData(pencil, samples).disc_coeffs
+    return _discriminant(pencil, samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,91 +214,6 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         comp[1:, :-1] = np.eye(degree - 1)
     comp[:, -1] = -monic[:degree]
     return np.asarray(eigenvalues(CMatrix(comp)))
-
-
-class _Bivariate:
-    """p(E, z) = sum_k sum_l C[k, l] E^k z^l and its partials."""
-
-    def __init__(self, c: np.ndarray):
-        self.c = c
-        k = np.arange(1, c.shape[0])[:, None]
-        l = np.arange(1, c.shape[1])[None, :]
-        self.c_e = c[1:, :] * k
-        self.c_z = c[:, 1:] * l
-        self.c_ee = self.c_e[1:, :] * np.arange(1, self.c_e.shape[0])[:, None]
-        self.c_ez = self.c_e[:, 1:] * np.arange(1, c.shape[1])[None, :]
-
-    @staticmethod
-    def _eval(table: np.ndarray, e: complex, z: complex) -> complex:
-        zp = z ** np.arange(table.shape[1])
-        return complex(np.polyval((table @ zp)[::-1], e))
-
-    def value(self, e, z):
-        return self._eval(self.c, e, z)
-
-    def d_e(self, e, z):
-        return self._eval(self.c_e, e, z)
-
-    def d_z(self, e, z):
-        return self._eval(self.c_z, e, z)
-
-    def d_ee(self, e, z):
-        return self._eval(self.c_ee, e, z)
-
-    def d_ez(self, e, z):
-        return self._eval(self.c_ez, e, z)
-
-
-def _solve_2x2(j: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    det_j = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    scale = max(abs(j).max(), 1e-300)
-    if abs(det_j) > 1e-14 * scale * scale:
-        return np.array([
-            (rhs[0] * j[1, 1] - rhs[1] * j[0, 1]) / det_j,
-            (j[0, 0] * rhs[1] - j[1, 0] * rhs[0]) / det_j,
-        ])
-    # Least-squares step through the ridge-regularized normal equations;
-    # keeps Newton moving at higher-order points where J is singular.
-    jh = j.conj().T
-    g = jh @ j + (1e-14 * scale) ** 2 * np.eye(2)
-    b = jh @ rhs
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det_g == 0.0:
-        return None
-    return np.array([
-        (b[0] * g[1, 1] - b[1] * g[0, 1]) / det_g,
-        (g[0, 0] * b[1] - g[1, 0] * b[0]) / det_g,
-    ])
-
-
-def _newton_refine(poly: _Bivariate, e0: complex, z0: complex
-                   ) -> tuple[complex, complex, bool]:
-    """Newton on (p, dp/dE) = 0 with the analytic Jacobian; falls back to
-    finite differences if the analytic entries are not finite."""
-    e, z = complex(e0), complex(z0)
-    converged = False
-    for _ in range(_NEWTON_MAX_ITER):
-        f = np.array([poly.value(e, z), poly.d_e(e, z)])
-        jac = np.array([[poly.d_e(e, z), poly.d_z(e, z)],
-                        [poly.d_ee(e, z), poly.d_ez(e, z)]])
-        if not np.all(np.isfinite(jac.view(float))):
-            h = 1e-7 * (1.0 + abs(z))
-            he = 1e-7 * (1.0 + abs(e))
-            jac = np.array([
-                [(poly.value(e + he, z) - poly.value(e - he, z)) / (2 * he),
-                 (poly.value(e, z + h) - poly.value(e, z - h)) / (2 * h)],
-                [(poly.d_e(e + he, z) - poly.d_e(e - he, z)) / (2 * he),
-                 (poly.d_e(e, z + h) - poly.d_e(e, z - h)) / (2 * h)],
-            ])
-        step = _solve_2x2(jac, -f)
-        if step is None:
-            break
-        e += step[0]
-        z += step[1]
-        if abs(step[0]) + abs(step[1]) <= _NEWTON_STEP_TOL * (1.0 + abs(e) + abs(z)):
-            converged = True
-            break
-    return e, z, converged
 
 
 def _pair_distances(values: np.ndarray) -> np.ndarray:
@@ -340,41 +235,95 @@ def _min_gap(values: np.ndarray) -> float:
     return float(_pair_distances(values).min())
 
 
-def _cluster(points: list[complex], factor: float = 1.0) -> list[list[int]]:
-    """Union-find clustering with the scaled dedup radius."""
+def _linked(points: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Index sets of the components of the graph that joins points
+    closer than ``radius``."""
     count = len(points)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            radius = factor * _DEDUP_RADIUS * \
-                (1.0 + max(abs(points[i]), abs(points[j])))
-            if abs(points[i] - points[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    reach = (_pair_distances(points) < radius) | np.eye(count, dtype=bool)
+    while True:
+        grown = (reach.astype(int) @ reach) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(reach[i]) for i in range(count) if first[i] == i]
 
 
-def _dedup_groups(points: list[complex]) -> list[list[int]]:
-    """Two-pass dedup: chain points at the base radius, then merge the
-    resulting centroids at ten times the radius. A multiple root whose
-    Newton iterates stall on opposite sides of the true value still
-    collapses to a single group."""
-    first = _cluster(points)
-    centroids = [complex(np.mean([points[i] for i in group]))
-                 for group in first]
-    merged = _cluster(centroids, factor=10.0)
-    return [[idx for c in group for idx in first[c]] for group in merged]
+def _spectral_disc(eigs: np.ndarray) -> complex:
+    """D(z) from the eigenvalues of H(z).
+
+    With char_poly's leading coefficient (-1)^n and the Sylvester layout
+    above, D = (-1)^(n(n+1)/2) prod_{i<j} (l_i - l_j)^2. Unlike the
+    recovered coefficients, this stays accurate at a root of D that lies
+    close to another root.
+    """
+    n = len(eigs)
+    i, j = np.triu_indices(n, 1)
+    sign = (-1) ** (n * (n + 1) // 2)
+    return sign * complex(np.prod((eigs[i] - eigs[j]) ** 2))
+
+
+def _polish(pencil: PencilFamily, slope: np.ndarray, z: complex,
+            eigs: np.ndarray) -> tuple[complex, np.ndarray, bool]:
+    """Newton on D from a simple root z with eigenvalues ``eigs``.
+
+    D comes from the spectrum, D' from the recovered coefficients
+    (``slope``, high to low). Returns the last point, its eigenvalues and
+    True once the next step is below the tolerance; a step that fails to
+    halve the previous one ends the iteration with False.
+    """
+    previous = np.inf
+    while True:
+        step = _spectral_disc(eigs) / complex(np.polyval(slope, z))
+        if abs(step) <= _NEWTON_STEP_TOL * (1.0 + abs(z)):
+            return z, eigs, True
+        if not abs(step) <= 0.5 * previous:
+            return z, eigs, False
+        z -= step
+        eigs = np.asarray(eigenvalues(pencil.at(z)))
+        previous = abs(step)
+
+
+def _locate(pencil: PencilFamily, coeffs: np.ndarray,
+            roots: np.ndarray) -> list[tuple[complex, np.ndarray, bool]]:
+    """One (z, eigenvalues of H(z), newton_converged) per EP.
+
+    All roots start as one linked group. A group is one EP when H at its
+    centroid has an eigenvalue gap no larger than H has at any member,
+    and no member is more than twice as far from the centroid as
+    another: the copies of a multiple root scatter on a circle around
+    it, and their centroid is well conditioned and lands on the
+    degeneracy. The centroid of distinct EPs falls between them, where
+    the eigenvalues separate, or, when it falls on a further degeneracy,
+    lies much closer to that degeneracy's own roots than to the rest.
+    Any other group is relinked at half the radius until it splits. A
+    group reports its centroid; a single root is polished.
+    """
+    spectra = [np.asarray(eigenvalues(pencil.at(z))) for z in roots]
+    gaps = np.array([_min_gap(eigs) for eigs in spectra])
+    slope = np.polyder(coeffs[::-1])
+    found = []
+    pending = [(np.arange(len(roots)),
+                float(np.ptp(roots.real) + np.ptp(roots.imag)))]
+    while pending:
+        members, radius = pending.pop()
+        if len(members) == 1:
+            i = members[0]
+            found.append(_polish(pencil, slope, complex(roots[i]), spectra[i]))
+            continue
+        centroid = complex(roots[members].mean())
+        offsets = np.abs(roots[members] - centroid)
+        if offsets.max() <= 2.0 * offsets.min():
+            eigs = np.asarray(eigenvalues(pencil.at(centroid)))
+            if _min_gap(eigs) <= gaps[members].min():
+                found.append((centroid, eigs, False))
+                continue
+        parts = [members]
+        while len(parts) == 1:
+            radius /= 2.0
+            parts = _linked(roots[members], radius)
+        pending += [(members[part], radius) for part in parts]
+    return found
 
 
 def find_exceptional_points(pencil: PencilFamily,
@@ -383,43 +332,25 @@ def find_exceptional_points(pencil: PencilFamily,
                             ) -> list[EPCandidate]:
     """Locate the roots of the pencil discriminant and certify them.
 
-    Companion-matrix roots of the recovered discriminant are refined by
-    Newton iteration on (p, dp/dE) and clustered within the scaled dedup
-    radius; a multiple root contributes one candidate at the cluster
-    centroid. Every candidate is certified by recomputing the eigenvalue
-    gap of H(z) and sorted by modulus then argument.
+    Companion-matrix roots of the recovered discriminant are split into
+    one group per EP by the eigenvalue gap of H(z) at each group's
+    centroid and the spread of the members around it. A multiple root contributes one candidate at its group's
+    centroid, a simple root is polished by Newton iteration on D. Every
+    candidate is certified by the eigenvalue gap of H(z) and sorted by
+    modulus then argument.
     """
-    data = _PencilData(pencil, samples)
-    poly = _Bivariate(data.char_z)
-    roots = _companion_roots(data.disc_coeffs)
+    coeffs, disc_scale = _discriminant(pencil, samples)
+    roots = _companion_roots(coeffs)
     if len(roots) == 0:
         return []
-
-    refined = []
-    for root in roots:
-        eigs = eigenvalues(pencil.at(root))
-        e0 = _closest_pair_mean(eigs)
-        e, z, ok = _newton_refine(poly, e0, complex(root))
-        refined.append((z, e, ok))
-
     candidates = []
     n = pencil.size
     norm_a = frobenius_norm(pencil.a)
     norm_b = frobenius_norm(pencil.b)
-    for group in _dedup_groups([z for z, _, _ in refined]):
-        converged = all(refined[i][2] for i in group)
-        if len(group) == 1:
-            z, e = refined[group[0]][0], refined[group[0]][1]
-            eigs = eigenvalues(pencil.at(z))
-        else:
-            # Centroid of the refined copies of a multiple root is
-            # first-order accurate; re-running Newton would scatter it
-            # again across the flat basin.
-            z = complex(np.mean([refined[i][0] for i in group]))
-            eigs = eigenvalues(pencil.at(z))
-            e = _closest_pair_mean(eigs)
+    for z, eigs, converged in _locate(pencil, coeffs, roots):
+        e = _closest_pair_mean(eigs)
         gap = _min_gap(eigs)
-        disc_residual = abs(data.disc_at(z)) / data.disc_scale
+        disc_residual = abs(complex(np.polyval(coeffs[::-1], z))) / disc_scale
         scale = 1.0 + norm_a + abs(z) * norm_b
         shifted = CMatrix(pencil.at(z).data - e * np.eye(n))
         geo_rank = rank(shifted, Tolerance(

@@ -111,6 +111,27 @@ class TestHermitianPair:
         assert verdict == sp.normality_report(
             CMatrix(a.data + 1j * b.data)).is_normal
 
+    def test_pair_and_phi_family_skip_schur(self, rng, monkeypatch):
+        # Both answers need only the defect, never a Schur form.
+        pairs = [(random_hermitian(rng, 4), random_hermitian(rng, 4))
+                 for _ in range(3)]
+        pairs += [(a, a) for a, _ in pairs]
+        verdicts = [
+            sp.normality_report(CMatrix(a.data + 1j * b.data)).is_normal
+            for a, b in pairs]
+        phis = (0.0, 0.7, np.pi / 2)
+        defects = [sp.normality_report(sp.phi_family(phi).matrix).defect
+                   for phi in phis]
+
+        def no_schur(*args, **kwargs):
+            raise AssertionError("schur called")
+
+        monkeypatch.setattr("spinpoint.analysis.schur", no_schur)
+        got = [sp.hermitian_pair_is_normal(a, b) for a, b in pairs]
+        assert got == verdicts
+        assert verdicts == [False] * 3 + [True] * 3
+        assert [sp.phi_family(phi).defect for phi in phis] == defects
+
 
 class TestNilpotency:
     @pytest.mark.parametrize("twice,axis", [(2, 1), (3, 1), (2, 2)])

@@ -8,9 +8,9 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        discriminant_poly, find_exceptional_points,
                        trace_sheets)
 from spinpoint.errors import ZeroDiscriminantError
-from spinpoint.exceptional import _match_indices
+from spinpoint.exceptional import _match_indices, _spectral_disc
 
-from conftest import SIGMA1, SIGMA3, random_cmatrix
+from conftest import SIGMA1, SIGMA3, random_cmatrix, random_complex
 
 
 def hermitian_example():
@@ -26,6 +26,13 @@ def pauli_example():
 def spin_pencil(twice):
     mats = sp.spin_matrices(Spin(twice))
     return PencilFamily(a=mats.s3, b=mats.s1)
+
+
+def numpy_gap(h):
+    """Smallest pairwise distance of numpy's eigenvalues of h."""
+    eigs = np.linalg.eigvals(h)
+    dist = np.abs(eigs[:, None] - eigs[None, :])
+    return dist[np.triu_indices(len(eigs), 1)].min()
 
 
 def normalized(coeffs):
@@ -73,6 +80,18 @@ class TestDiscriminant:
         with pytest.raises(ZeroDiscriminantError):
             discriminant_poly(pencil)
 
+    def test_spectrum_gives_the_same_discriminant(self, rng):
+        # The root polish evaluates D from eigenvalues; its sign and scale
+        # must match the recovered resultant.
+        for n in (2, 3, 4):
+            a, b = random_complex(rng, n), random_complex(rng, n)
+            coeffs = discriminant_poly(
+                PencilFamily(a=CMatrix(a), b=CMatrix(b)))
+            for z in (0.3 + 0.2j, -1.1 + 0.5j):
+                expected = np.polyval(coeffs[::-1], z)
+                got = _spectral_disc(np.linalg.eigvals(a + z * b))
+                assert abs(got - expected) <= 1e-8 * abs(expected)
+
     def test_sample_count_invariance(self):
         base = discriminant_poly(hermitian_example())
         doubled = discriminant_poly(hermitian_example(), samples=2 * (len(base)))
@@ -99,13 +118,16 @@ class TestFindExceptionalPoints:
         assert abs(zs[0] + 1j) <= 1e-10
         assert abs(zs[1] - 1j) <= 1e-10
 
-    @pytest.mark.parametrize("twice", [2, 3])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4, 5])
     def test_spin_pencils_collapse_to_two(self, twice):
+        # +/- i are roots of D of order n(n-1)/2; the centroid of their
+        # scattered companion roots is accurate to roundoff for 2s <= 3.
         candidates = find_exceptional_points(spin_pencil(twice))
         assert len(candidates) == 2
         zs = sorted((c.z for c in candidates), key=lambda z: z.imag)
-        assert abs(zs[0] + 1j) <= 1e-6
-        assert abs(zs[1] - 1j) <= 1e-6
+        tolerance = 1e-12 if twice <= 3 else 1e-6
+        assert abs(zs[0] + 1j) <= tolerance
+        assert abs(zs[1] - 1j) <= tolerance
         for c in candidates:
             # single Jordan chain at the degeneracy: defective point
             assert c.geometric_multiplicity == 1
@@ -114,14 +136,36 @@ class TestFindExceptionalPoints:
         for _ in range(5):
             a = CMatrix(rng.standard_normal((3, 3)))
             b = CMatrix(rng.standard_normal((3, 3)))
-            try:
-                candidates = find_exceptional_points(PencilFamily(a=a, b=b))
-            except ZeroDiscriminantError:
-                continue
+            candidates = find_exceptional_points(PencilFamily(a=a, b=b))
             zs = np.array([c.z for c in candidates])
             for z in zs:
                 if abs(z.imag) > 1e-8:
                     assert np.abs(zs - np.conj(z)).min() <= 1e-9 * (1 + abs(z))
+
+    def test_close_pair_splits(self):
+        # [[0, z - d], [z + d, 0]]: eigenvalues +/- sqrt(z^2 - d^2), two
+        # EPs 2d apart whose centroid z = 0 has the wide gap 2d.
+        d = 1e-6
+        pencil = PencilFamily(a=CMatrix([[0.0, -d], [d, 0.0]]),
+                              b=CMatrix(SIGMA1))
+        candidates = find_exceptional_points(pencil)
+        assert len(candidates) == 2
+        zs = sorted((c.z for c in candidates), key=lambda z: z.real)
+        assert abs(zs[0] + d) <= 1e-3 * d
+        assert abs(zs[1] - d) <= 1e-3 * d
+        assert all(c.accepted for c in candidates)
+
+    def test_random_four_by_four_pencils(self, rng):
+        for _ in range(12):
+            a, b = random_complex(rng, 4), random_complex(rng, 4)
+            candidates = find_exceptional_points(
+                PencilFamily(a=CMatrix(a), b=CMatrix(b)))
+            assert len(candidates) == 12
+            for c in candidates:
+                gap = numpy_gap(a + c.z * b)
+                bound = 1e-3 * (1.0 + np.linalg.norm(a)
+                                + abs(c.z) * np.linalg.norm(b))
+                assert gap <= bound
 
     def test_semisimple_crossing_flagged(self):
         # H(z) = diag(1 + z, -1 - z): eigenvalues cross at z = -1 with a
@@ -132,6 +176,30 @@ class TestFindExceptionalPoints:
         assert len(candidates) == 1
         assert abs(candidates[0].z + 1.0) <= 1e-8
         assert candidates[0].geometric_multiplicity == 2
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # diag(z, -z, 1): D = 4 z^2 (z^2 - 1)^2, semisimple crossings at
+        # 0 and +/- 1.
+        (np.diag([0.0, 0.0, 1.0]), np.diag([1.0, -1.0, 0.0]),
+         [(-1.0, 2), (0.0, 2), (1.0, 2)]),
+        # [[0, z - 1], [z + 1, 0]] (+) diag(5 + z, 5 - z): EPs at +/- 1,
+        # semisimple crossings at 0 and +/- 2.6.
+        (np.block([[SIGMA1 @ SIGMA3, np.zeros((2, 2))],
+                   [np.zeros((2, 2)), 5.0 * np.eye(2)]]),
+         np.block([[SIGMA1, np.zeros((2, 2))],
+                   [np.zeros((2, 2)), SIGMA3]]),
+         [(-2.6, 2), (-1.0, 1), (0.0, 2), (1.0, 1), (2.6, 2)]),
+    ])
+    def test_degeneracies_around_a_crossing_stay_apart(self, a, b, expected):
+        # The centroid of all the companion roots lands on the crossing
+        # at 0, where the gap is smaller than at any root.
+        candidates = find_exceptional_points(
+            PencilFamily(a=CMatrix(a), b=CMatrix(b)))
+        candidates.sort(key=lambda c: c.z.real)
+        assert len(candidates) == len(expected)
+        for c, (z, multiplicity) in zip(candidates, expected):
+            assert abs(c.z - z) <= 1e-10
+            assert c.geometric_multiplicity == multiplicity
 
     def test_discriminant_residual_small_at_roots(self):
         for c in find_exceptional_points(hermitian_example()):
@@ -234,10 +302,7 @@ class TestTraceSheets:
             n = int(rng.integers(2, 4))
             pencil = PencilFamily(a=random_cmatrix(rng, n),
                                   b=random_cmatrix(rng, n))
-            try:
-                candidates = find_exceptional_points(pencil)
-            except ZeroDiscriminantError:
-                continue
+            candidates = find_exceptional_points(pencil)
             moduli = [abs(c.z) for c in candidates]
             center = 2.0 * max(moduli + [1.0]) + 1.0
             path = PathSpec(center=center, radius=0.05, steps=16)
