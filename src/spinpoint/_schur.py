@@ -2,8 +2,9 @@
 shifted QR iteration.
 
 Internal engine operating on raw ndarrays; the public wrappers live in
-:mod:`spinpoint.cmatrix`. The QR step is the explicit single-shift form
-(Givens rotations on the Hessenberg matrix), which is ample for the
+:mod:`spinpoint.cmatrix`. The QR step is the implicit single-shift
+bulge chase (Golub and Van Loan, *Matrix Computations*, section 7.5),
+which applies each Givens rotation once; a single shift is ample for the
 dimensions this package targets (n up to a few dozen).
 """
 
@@ -41,10 +42,7 @@ def hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pivot = v[0]
         phase = pivot / abs(pivot) if abs(pivot) > 0.0 else 1.0
         v[0] += phase * norm_x
-        norm_v = np.linalg.norm(v)
-        if norm_v == 0.0:
-            continue
-        v /= norm_v
+        v /= np.linalg.norm(v)
         # Similarity by P = I - 2 v v* on the trailing block.
         h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
         h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
@@ -74,8 +72,6 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block index.
     """
     n = a.shape[0]
-    if n == 1:
-        return np.array(a, dtype=complex), np.eye(1, dtype=complex)
     h, q = hessenberg(a)
     scale = np.linalg.norm(h)
     budget = SWEEP_BUDGET_PER_DIM * n
@@ -83,21 +79,6 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stall = 0
     hi = n - 1
     while hi > 0:
-        # Deflate converged trailing 1x1 blocks.
-        deflated = False
-        while hi > 0:
-            thresh = _EPS * (abs(h[hi - 1, hi - 1]) + abs(h[hi, hi]))
-            if thresh == 0.0:
-                thresh = _EPS * scale
-            if abs(h[hi, hi - 1]) > thresh:
-                break
-            h[hi, hi - 1] = 0.0
-            hi -= 1
-            deflated = True
-        if deflated:
-            stall = 0
-        if hi == 0:
-            break
         # Active block [lo..hi]: walk up to the nearest negligible
         # subdiagonal entry.
         lo = hi
@@ -109,6 +90,10 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
+        if lo == hi:
+            hi -= 1
+            stall = 0
+            continue
 
         if steps >= budget:
             raise ConvergenceError(
@@ -125,38 +110,24 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             mu = _wilkinson_shift(h[hi - 1, hi - 1], h[hi - 1, hi],
                                   h[hi, hi - 1], h[hi, hi])
 
-        # Explicit shifted QR step on the active block: factor
-        # H - mu I = G* R by Givens rotations, then form R G + mu I.
-        m = hi - lo
-        cos = np.empty(m, dtype=complex)
-        sin = np.empty(m, dtype=complex)
-        for i in range(lo, hi + 1):
-            h[i, i] -= mu
-        for i in range(lo, hi):
-            x, y = h[i, i], h[i + 1, i]
+        # Implicit single-shift step: the first rotation is that of the
+        # shifted QR factorisation, the rest chase the bulge it leaves at
+        # (k + 1, k - 1) down and off the active block.
+        x, y = h[lo, lo] - mu, h[lo + 1, lo]
+        for k in range(lo, hi):
+            if k > lo:
+                x, y = h[k, k - 1], h[k + 1, k - 1]
             r = np.hypot(abs(x), abs(y))
-            if r == 0.0:
-                c, s = 1.0 + 0.0j, 0.0 + 0.0j
-            else:
-                c, s = x / r, y / r
-            cos[i - lo], sin[i - lo] = c, s
-            top = h[i, i:].copy()
-            bot = h[i + 1, i:].copy()
-            h[i, i:] = np.conj(c) * top + np.conj(s) * bot
-            h[i + 1, i:] = -s * top + c * bot
-            h[i + 1, i] = 0.0
-        for i in range(lo, hi):
-            c, s = cos[i - lo], sin[i - lo]
-            left = h[:i + 2, i].copy()
-            right = h[:i + 2, i + 1].copy()
-            h[:i + 2, i] = left * c + right * s
-            h[:i + 2, i + 1] = -left * np.conj(s) + right * np.conj(c)
-            qleft = q[:, i].copy()
-            qright = q[:, i + 1].copy()
-            q[:, i] = qleft * c + qright * s
-            q[:, i + 1] = -qleft * np.conj(s) + qright * np.conj(c)
-        for i in range(lo, hi + 1):
-            h[i, i] += mu
+            c, s = (x / r, y / r) if r > 0.0 else (1.0, 0.0)
+            g = np.array([[np.conj(c), np.conj(s)], [-s, c]])
+            g_adj = g.conj().T
+            col = max(k - 1, lo)
+            h[k:k + 2, col:] = g @ h[k:k + 2, col:]
+            if k > lo:
+                h[k + 1, k - 1] = 0.0
+            row = min(k + 3, hi + 1)
+            h[:row, k:k + 2] = h[:row, k:k + 2] @ g_adj
+            q[:, k:k + 2] = q[:, k:k + 2] @ g_adj
     # Enforce the triangular structure the iteration produced.
     h[np.tril_indices(n, -1)] = 0.0
     return h, q

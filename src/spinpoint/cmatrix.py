@@ -7,11 +7,11 @@ reject non-finite entries, which is how operations that would overflow
 surface as errors instead of silently propagating NaN/Inf.
 
 The heavy solvers follow fixed algorithm choices: eigenvalues and the
-Schur form come from Householder Hessenberg reduction plus shifted QR
-iteration (:mod:`spinpoint._schur`), numerical rank from Gaussian
-elimination with full pivoting, the characteristic polynomial from the
-Faddeev-LeVerrier recursion, and the exponential from scaling and
-squaring around a degree-13 Taylor core.
+Schur form come from Householder Hessenberg reduction plus implicit
+single-shift QR iteration (:mod:`spinpoint._schur`), numerical rank from
+Gaussian elimination with full pivoting, the characteristic polynomial
+from the Faddeev-LeVerrier recursion, and the exponential from scaling
+and squaring around a degree-13 Taylor core.
 """
 
 from __future__ import annotations

@@ -334,10 +334,10 @@ def find_exceptional_points(pencil: PencilFamily,
 
     Companion-matrix roots of the recovered discriminant are split into
     one group per EP by the eigenvalue gap of H(z) at each group's
-    centroid and the spread of the members around it. A multiple root contributes one candidate at its group's
-    centroid, a simple root is polished by Newton iteration on D. Every
-    candidate is certified by the eigenvalue gap of H(z) and sorted by
-    modulus then argument.
+    centroid and the spread of the members around it. A multiple root
+    contributes one candidate at its group's centroid, a simple root is
+    polished by Newton iteration on D. Every candidate is certified by the
+    eigenvalue gap of H(z) and sorted by modulus then argument.
     """
     coeffs, disc_scale = _discriminant(pencil, samples)
     roots = _companion_roots(coeffs)

@@ -34,13 +34,19 @@ def matrix_from_dict(obj: dict) -> CMatrix:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("malformed matrix object: data must be a list")
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
     values = []
     for pair in data:
-        if len(pair) != 2:
-            raise ValueError("each entry must be an [re, im] pair")
-        values.append(complex(float(pair[0]), float(pair[1])))
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError("malformed matrix object: "
+                             "each entry must be an [re, im] pair")
+        try:
+            values.append(complex(float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix object: {exc}") from exc
     entries = [values[r * cols:(r + 1) * cols] for r in range(rows)]
     return CMatrix(entries)
 

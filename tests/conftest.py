@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from spinpoint import CMatrix
 
@@ -18,6 +19,21 @@ def rng():
 @pytest.fixture
 def pauli():
     return CMatrix(SIGMA1), CMatrix(SIGMA2), CMatrix(SIGMA3)
+
+
+def paired_spectra(a, b):
+    """Return ``a`` and ``b`` as arrays, with ``b`` reordered to pair with ``a``.
+
+    The pairing is the optimal assignment on |a_i - b_j|, so comparing the
+    result elementwise compares the two eigenvalue multisets whatever
+    order they come in. Sorting both with ``np.sort_complex`` instead
+    mispairs them when a real part of 0.9999999999999999 meets 1.0.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    assert a.shape == b.shape
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return a[rows], b[cols]
 
 
 def random_complex(rng, rows, cols=None):

@@ -16,7 +16,7 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        quadratic_fermi_rep, rep_eigen_analysis, trace_sheets,
                        two_qubit_tangle)
 
-from conftest import SIGMA1, SIGMA3, random_hermitian
+from conftest import SIGMA1, SIGMA3, paired_spectra, random_hermitian
 from test_analysis import commutator_oracle, product_state_tangle_oracle
 from test_fermi import brute_force_rep
 
@@ -253,8 +253,8 @@ def test_criterion_11_phi_family():
     for k in range(64):
         phi = k * (np.pi / 2.0) / 64.0
         point = sp.phi_family(phi)
-        closed = np.sort_complex(np.array(point.eigenvalues))
-        computed = np.sort_complex(np.asarray(sp.eigenvalues(point.matrix)))
+        closed, computed = paired_spectra(point.eigenvalues,
+                                          sp.eigenvalues(point.matrix))
         assert np.abs(closed - computed).max() <= 1e-12, f"phi={phi}"
 
     assert sp.phi_family(0.0).defect == 0.0

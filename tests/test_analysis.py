@@ -6,8 +6,8 @@ import pytest
 import spinpoint as sp
 from spinpoint import CMatrix, Spin
 
-from conftest import SIGMA1, SIGMA3, random_cmatrix, random_hermitian, \
-    random_unitary
+from conftest import SIGMA1, SIGMA3, paired_spectra, random_cmatrix, \
+    random_hermitian, random_unitary
 
 
 def spin_hamiltonian(twice, axis=1):
@@ -224,8 +224,8 @@ class TestPhiFamily:
     def test_closed_form_matches_qr(self):
         for phi in np.linspace(0.05, np.pi / 2 - 0.05, 9):
             point = sp.phi_family(phi)
-            got = np.sort_complex(np.asarray(sp.eigenvalues(point.matrix)))
-            expected = np.sort_complex(np.array(point.eigenvalues))
+            got, expected = paired_spectra(sp.eigenvalues(point.matrix),
+                                           point.eigenvalues)
             assert np.abs(got - expected).max() < 1e-12
 
     def test_eigenvectors_satisfy_equation(self):

@@ -105,6 +105,14 @@ class TestRoundTrip:
         assert code == 1
         assert err.startswith("bad-matrix-file:")
 
+    def test_check_malformed_entries(self, run, tmp_path):
+        path = tmp_path / "m.json"
+        for data in ("[5]", "5", "[[null, 0]]", "[[{}, 0]]"):
+            path.write_text(f'{{"rows": 1, "cols": 1, "data": {data}}}')
+            code, _, err = run("check", "--input", str(path))
+            assert code == 1, data
+            assert err.startswith("bad-matrix-file:"), data
+
 
 class TestKernel:
     def test_spin_two_vector(self, run):

@@ -8,8 +8,8 @@ import spinpoint as sp
 from spinpoint import CMatrix, Tolerance
 from spinpoint.errors import DimensionError, NonFiniteError
 
-from conftest import (SIGMA1, SIGMA3, random_complex, random_cmatrix,
-                      random_hermitian, random_unitary)
+from conftest import (SIGMA1, SIGMA3, paired_spectra, random_complex,
+                      random_cmatrix, random_hermitian, random_unitary)
 
 
 class TestConstruction:
@@ -145,8 +145,8 @@ class TestKronecker:
         # repeat -1+i are typos)
         s1, _, s3 = pauli
         m = sp.add(sp.kron(s3, s3), sp.scale(1j, sp.kron(s1, s1)))
-        got = np.sort_complex(np.asarray(sp.eigenvalues(m)))
-        expected = np.sort_complex(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]))
+        got, expected = paired_spectra(sp.eigenvalues(m),
+                                       [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
         assert np.abs(got - expected).max() < 1e-12
 
     def test_kron_eigenvalue_products(self, rng):
@@ -156,14 +156,10 @@ class TestKronecker:
             a, b = random_cmatrix(rng, n), random_cmatrix(rng, m)
             la = np.asarray(sp.eigenvalues(a))
             lb = np.asarray(sp.eigenvalues(b))
-            expected = np.sort_complex(np.outer(la, lb).ravel())
-            got = np.sort_complex(np.asarray(sp.eigenvalues(sp.kron(a, b))))
+            expected, got = paired_spectra(np.outer(la, lb).ravel(),
+                                           sp.eigenvalues(sp.kron(a, b)))
             assert np.abs(np.sort(np.abs(expected)) - np.sort(np.abs(got))).max() < 1e-8
-            # match by optimal pairing on moduli-sorted order
-            from scipy.optimize import linear_sum_assignment
-            dist = np.abs(expected[:, None] - got[None, :])
-            rows, cols = linear_sum_assignment(dist)
-            assert dist[rows, cols].max() < 1e-8
+            assert np.abs(expected - got).max() < 1e-8
 
 
 class TestNorms:
@@ -302,7 +298,7 @@ class TestEigenvaluesAndSchur:
     def test_diagonal_matrix(self):
         d = CMatrix.diagonal([3.0, -1.0, 2.0j])
         got = sp.eigenvalues(d)
-        assert np.allclose(np.sort_complex(got), np.sort_complex([3.0, -1.0, 2.0j]))
+        assert np.allclose(*paired_spectra(got, [3.0, -1.0, 2.0j]))
 
     def test_ordering_contract(self, rng):
         vals = sp.eigenvalues(random_cmatrix(rng, 6))
@@ -320,8 +316,7 @@ class TestEigenvaluesAndSchur:
         for phi in (0.0, np.pi / 4, 0.9):
             h = CMatrix(SIGMA3 + np.exp(1j * phi) * SIGMA1)
             lam = np.sqrt(1.0 + np.exp(2j * phi))
-            got = np.sort_complex(np.asarray(sp.eigenvalues(h)))
-            expected = np.sort_complex(np.array([lam, -lam]))
+            got, expected = paired_spectra(sp.eigenvalues(h), [lam, -lam])
             assert np.abs(got - expected).max() < 1e-12
 
     def test_double_zero_eigenvalue(self):
@@ -359,9 +354,22 @@ class TestEigenvaluesAndSchur:
 
     def test_eigenvalues_match_schur_diagonal(self, rng):
         a = random_cmatrix(rng, 6)
-        vals = np.asarray(sp.eigenvalues(a))
-        diag = np.sort_complex(np.diag(sp.schur(a).t.data))
-        assert np.abs(np.sort_complex(vals) - diag).max() <= 1e-10 * sp.frobenius_norm(a)
+        vals, diag = paired_spectra(sp.eigenvalues(a), np.diag(sp.schur(a).t.data))
+        assert np.abs(vals - diag).max() <= 1e-10 * sp.frobenius_norm(a)
+
+    def test_cyclic_shift_and_one_by_one(self):
+        # Every eigenvalue of the cyclic shift has modulus 1, so Wilkinson
+        # shifts alone cycle; the exceptional shift is what converges here.
+        for n in range(3, 13):
+            shift = CMatrix(np.roll(np.eye(n), 1, axis=0))
+            got, roots = paired_spectra(sp.eigenvalues(shift),
+                                        np.exp(2j * np.pi * np.arange(n) / n))
+            assert np.abs(got - roots).max() <= 1e-12, f"n={n}"
+        one = CMatrix([[2.5 - 1.0j]])
+        assert np.array_equal(sp.eigenvalues(one), [2.5 - 1.0j])
+        form = sp.schur(one)
+        assert form.u == CMatrix([[1.0]])
+        assert form.residual == 0.0
 
     def test_trace_and_det_consistency(self, rng):
         for _ in range(10):

@@ -8,7 +8,7 @@ import spinpoint as sp
 from spinpoint import CMatrix, quadratic_fermi_rep, rep_eigen_analysis
 from spinpoint.errors import DimensionError
 
-from conftest import random_cmatrix
+from conftest import paired_spectra, random_cmatrix
 
 # Occupation (n1, n2) of each Fock basis ket, in basis order.
 FOCK_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -140,7 +140,8 @@ class TestSpectra:
             expected = np.concatenate([[0.0], np.asarray(sp.eigenvalues(m)),
                                        [sp.trace(m)]])
             got = np.asarray(analysis.eigenvalues)
-            dist = np.abs(np.sort_complex(expected) - np.sort_complex(got))
+            expected, got = paired_spectra(expected, got)
+            dist = np.abs(expected - got)
             assert dist.max() <= 1e-10 * (1.0 + sp.frobenius_norm(m))
 
     def test_normality_transfers(self, rng):

@@ -30,6 +30,10 @@ class TestJson:
         '{"rows": 2, "cols": 2, "data": [[1, 0]]}',
         '{"rows": 0, "cols": 1, "data": []}',
         '{"rows": 1, "cols": 1, "data": [[1]]}',
+        '{"rows": 1, "cols": 1, "data": [5]}',
+        '{"rows": 1, "cols": 1, "data": 5}',
+        '{"rows": 1, "cols": 1, "data": [[null, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[{}, 0]]}',
         'not json',
     ])
     def test_rejects_malformed(self, payload):
