@@ -6,6 +6,15 @@ Internal engine operating on raw ndarrays; the public wrappers live in
 bulge chase (Golub and Van Loan, *Matrix Computations*, section 7.5),
 which applies each Givens rotation once; a single shift is ample for the
 dimensions this package targets (n up to a few dozen).
+
+Two loops run that chase. ``schur_decompose`` takes one matrix and
+accumulates Q. ``_eigenvalues_stack`` takes an ``(N, n, n)`` stack and
+returns eigenvalues only (LAPACK ``zlahqr`` with ``wantt = wantz =
+false``): every matrix keeps its own active block, shift and step
+counts, and one sweep chases all of them in lockstep, so the
+interpreter overhead of a rotation is paid once per stack, not once per
+matrix. Both share the Hessenberg reduction, the shift and the
+deflation test.
 """
 
 from __future__ import annotations
@@ -24,41 +33,76 @@ SWEEP_BUDGET_PER_DIM = 40
 _STALL_LIMIT = 12
 
 
-def hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce ``a`` to upper Hessenberg form H = Q* A Q.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, shape ``(..., 1)``, each summed
+    as ``np.linalg.norm`` sums one vector: real and imaginary dot
+    products, so that one matrix rounds alike alone and in a stack."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt(re @ np.swapaxes(re, -1, -2)
+                   + im @ np.swapaxes(im, -1, -2))[..., 0]
+
+
+def hessenberg(a: np.ndarray, want_q: bool = True
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Reduce ``a`` (one matrix or a stack ``(..., n, n)``) to upper
+    Hessenberg form H = Q* A Q.
 
     Returns ``(H, Q)`` with Q unitary (accumulated Householder
-    reflections) and H zero below the first subdiagonal.
+    reflections), or None when ``want_q`` is false, and H zero below the
+    first subdiagonal.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     h = np.array(a, dtype=complex)
-    q = np.eye(n, dtype=complex)
+    q = None
+    if want_q:
+        q = np.zeros_like(h)
+        q[..., range(n), range(n)] = 1.0
     for k in range(n - 2):
-        x = h[k + 1:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
+        # Reflect x onto the phase of its pivot (onto 1 for a zero pivot).
+        # A zero x leaves v = 0, and the reflection is the identity.
+        x = h[..., k + 1:, k]
+        pivot = x[..., :1]
+        size = np.hypot(pivot.real, pivot.imag)
+        flat = size == 0.0
         v = x.copy()
-        pivot = v[0]
-        phase = pivot / abs(pivot) if abs(pivot) > 0.0 else 1.0
-        v[0] += phase * norm_x
-        v /= np.linalg.norm(v)
+        v[..., :1] += (pivot + flat) / (size + flat) * _norms(x)
+        norm_v = _norms(v)
+        v /= norm_v + (norm_v == 0.0)
+        col, row = v[..., :, None], v.conj()[..., None, :]
         # Similarity by P = I - 2 v v* on the trailing block.
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
+        h[..., k + 1:, k:] -= 2.0 * (col * (row @ h[..., k + 1:, k:]))
+        h[..., :, k + 1:] -= 2.0 * ((h[..., :, k + 1:] @ col) * row)
+        if q is not None:
+            q[..., :, k + 1:] -= 2.0 * ((q[..., :, k + 1:] @ col) * row)
+        h[..., k + 2:, k] = 0.0
     return h, q
 
 
 def _wilkinson_shift(a, b, c, d):
-    """Eigenvalue of [[a, b], [c, d]] closest to d."""
+    """Eigenvalue of [[a, b], [c, d]] closest to d, elementwise."""
     half_gap = (a - d) / 2.0
     disc = np.sqrt(half_gap * half_gap + b * c)
     mid = (a + d) / 2.0
     lam1 = mid + disc
     lam2 = mid - disc
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
+    return np.where(abs(lam1 - d) <= abs(lam2 - d), lam1, lam2)
+
+
+def _negligible(sub, diag_above, diag_below, floor):
+    """Whether subdiagonal entries are negligible: at most eps times the
+    sum of their diagonal neighbours, or at most ``floor`` when both
+    neighbours are zero. Scalars or arrays."""
+    thresh = _EPS * (abs(diag_above) + abs(diag_below))
+    size = abs(sub)
+    return (size <= thresh) | ((size <= floor) & (thresh == 0.0))
+
+
+def _budget_error(budget: int, hi: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"QR iteration did not converge within {budget} steps "
+        f"(active block ending at index {hi})",
+        block_index=hi,
+    )
 
 
 def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +117,7 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = a.shape[0]
     h, q = hessenberg(a)
-    scale = np.linalg.norm(h)
+    floor = _EPS * np.linalg.norm(h)
     budget = SWEEP_BUDGET_PER_DIM * n
     steps = 0
     stall = 0
@@ -83,10 +127,7 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # subdiagonal entry.
         lo = hi
         while lo > 0:
-            thresh = _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if thresh == 0.0:
-                thresh = _EPS * scale
-            if abs(h[lo, lo - 1]) <= thresh:
+            if _negligible(h[lo, lo - 1], h[lo - 1, lo - 1], h[lo, lo], floor):
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
@@ -96,11 +137,7 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             continue
 
         if steps >= budget:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {budget} steps "
-                f"(active block ending at index {hi})",
-                block_index=hi,
-            )
+            raise _budget_error(budget, hi)
         steps += 1
         stall += 1
 
@@ -131,3 +168,96 @@ def schur_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Enforce the triangular structure the iteration produced.
     h[np.tril_indices(n, -1)] = 0.0
     return h, q
+
+
+def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of an ``(N, n, n)`` stack, as ``(N, n)``.
+
+    The single-matrix loop of ``schur_decompose`` run in lockstep, Q-free.
+    Each matrix keeps its own active block ``[lo..hi]``, shift, step count
+    and stall count. A sweep chases ``k`` over the union of the active
+    blocks; outside a matrix's own block its rotation is the identity, so
+    a matrix's eigenvalues do not depend on the stack it sits in. Row and
+    column updates are trimmed to that union: for eigenvalues alone, no
+    entry outside the diagonal blocks is ever read.
+
+    Raises
+    ------
+    ConvergenceError
+        If a matrix's trailing active block has not deflated after
+        ``SWEEP_BUDGET_PER_DIM * n`` of its QR steps; carries that
+        block's index.
+    """
+    count, n = a.shape[0], a.shape[-1]
+    h, _ = hessenberg(a, want_q=False)
+    floor = _EPS * _norms(h.reshape(count, n * n))
+    budget = SWEEP_BUDGET_PER_DIM * n
+    every = np.arange(count)
+    steps = np.zeros(count, dtype=int)
+    stall = np.zeros(count, dtype=int)
+    hi = np.full(count, n - 1)
+    index = np.arange(n)
+    while True:
+        # Zero every negligible subdiagonal entry. Entry l stops the upward
+        # walk from hi at lo = l, and l = 0 always stops it.
+        diag = np.diagonal(h, 0, 1, 2)
+        sub = np.diagonal(h, -1, 1, 2)
+        neg = _negligible(sub, diag[:, :-1], diag[:, 1:], floor)
+        h[:, index[1:], index[:-1]] = np.where(neg, 0.0, sub)
+        stops = np.concatenate([np.ones((count, 1), dtype=bool), neg], axis=1)
+        # Deflate until every unfinished matrix has a block to chase.
+        while True:
+            lo = np.where(stops & (index <= hi[:, None]), index, 0).max(axis=1)
+            deflating = (lo == hi) & (hi > 0)
+            if not deflating.any():
+                break
+            hi[deflating] -= 1
+            stall[deflating] = 0
+        active = hi > 0
+        if not active.any():
+            return np.diagonal(h, 0, 1, 2).copy()
+        late = active & (steps >= budget)
+        if late.any():
+            raise _budget_error(budget, int(hi[late.argmax()]))
+        steps += active
+        stall += active
+
+        last = np.maximum(hi, 1)
+        mu = np.where(
+            stall % _STALL_LIMIT == 0,
+            h[every, last, last] + 0.75 * abs(h[every, last, last - 1]),
+            _wilkinson_shift(h[every, last - 1, last - 1],
+                             h[every, last - 1, last],
+                             h[every, last, last - 1], h[every, last, last]))
+
+        first, stop = int(lo[active].min()), int(hi[active].max())
+        # Row k - first: the matrices that rotate at k, and those whose
+        # block starts at k (their rotation is that of the shifted QR
+        # factorisation; the others chase their bulge).
+        ks = np.arange(first, stop)[:, None]
+        rotating = active & (lo <= ks) & (ks < hi)
+        starting = lo == ks
+        for k in range(first, stop):
+            starts = starting[k - first]
+            # At k = 0 every rotating matrix starts; column -1 is unread.
+            x = np.where(starts, h[:, k, k] - mu, h[:, k, k - 1])
+            y = np.where(starts, h[:, k + 1, k], h[:, k + 1, k - 1])
+            r = np.hypot(abs(x), abs(y))
+            turn = rotating[k - first] & (r > 0.0)
+            r = np.where(turn, r, 1.0)
+            c = np.where(turn, x / r, 1.0)[:, None]
+            s = np.where(turn, y / r, 0.0)[:, None]
+            # Rows k, k + 1 times G = [[c*, s*], [-s, c]], then columns
+            # k, k + 1 times G*.
+            cols = slice(max(k - 1, first), stop + 1)
+            top, bottom = h[:, k, cols], h[:, k + 1, cols]
+            h[:, k, cols], h[:, k + 1, cols] = (
+                c.conj() * top + s.conj() * bottom, c * bottom - s * top)
+            if k > first:
+                # The chased bulge; the entry is already 0 in every matrix
+                # that does not chase one through k.
+                h[:, k + 1, k - 1] = 0.0
+            rows = slice(first, min(k + 3, stop + 1))
+            left, right = h[:, rows, k], h[:, rows, k + 1]
+            h[:, rows, k], h[:, rows, k + 1] = (
+                left * c + right * s, right * c.conj() - left * s.conj())

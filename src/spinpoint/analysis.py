@@ -9,8 +9,10 @@ The nilpotency decision intentionally combines two tests: an
 eigenvalue-modulus test and a power-decay test. Either alone
 misclassifies easy cases (powers of a contraction decay without the
 matrix being nilpotent; QR eigenvalues of a defective nilpotent matrix
-scatter far from zero). The thresholds below were calibrated on the
-spin family up to dimension 26:
+scatter far from zero). A verdict must also come with a rank chain that
+is a Jordan structure, which a small scaled identity, passing both
+tests, does not. The thresholds below were calibrated on the spin
+family up to dimension 26:
 
 * a power ``A^k`` counts as numerically zero once its Frobenius norm
   falls below ``1e-9`` times the largest norm seen along the power
@@ -150,9 +152,12 @@ def nilpotency_report(a: CMatrix,
 
     Nilpotent iff every computed eigenvalue modulus lies below the
     defective-scatter threshold and some power k <= n is numerically
-    zero relative to the power-sequence transient. The rank chain uses
-    the full-pivot rank for the genuine powers; the terminal zero power
-    contributes rank 0.
+    zero relative to the power-sequence transient, and the rank chain
+    is a Jordan structure. The chain uses the full-pivot rank for the
+    genuine powers; the terminal zero power contributes rank 0. With
+    r_0 = n, its Weyr characteristic r_{k-1} - r_k (the number of Jordan
+    blocks of size >= k) must be >= 1 and nonincreasing; a scaled
+    identity, whose powers decay without vanishing, fails that.
     """
     a.require_square("nilpotency_report")
     n = a.rows
@@ -174,11 +179,12 @@ def nilpotency_report(a: CMatrix,
             index = k
             break
 
-    is_nilpotent = eig_ok and index is not None
-    if not is_nilpotent:
+    chain = []
+    if eig_ok and index is not None:
+        chain = [rank(CMatrix(powers[k]), tol) for k in range(index - 1)] + [0]
+    weyr = -np.diff([n] + chain)
+    if not chain or weyr.min() < 1 or (np.diff(weyr) > 0).any():
         return NilpotencyReport(is_nilpotent=False, index=None, rank_chain=())
-    chain = [rank(CMatrix(powers[k]), tol) for k in range(index - 1)]
-    chain.append(0)
     return NilpotencyReport(is_nilpotent=True, index=index,
                             rank_chain=tuple(chain))
 

@@ -328,9 +328,11 @@ def eigenvalues(a: CMatrix) -> np.ndarray:
 
 
 def _sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """``eigenvalues`` order along the last axis, so a stack of spectra
+    is sorted row by row."""
     vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    return vals[order]
+    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def schur(a: CMatrix) -> SchurForm:

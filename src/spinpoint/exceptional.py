@@ -18,7 +18,9 @@ Sheet structure around a point is probed by walking eigenvalues along a
 closed loop, continuing each sheet to its nearest new eigenvalue, and
 bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
-it induces.
+it induces. The spectra at the path nodes after the start, like those at
+the companion roots of D, are solved as one stack by the lockstep QR
+loop.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schur import _eigenvalues_stack
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _det_lu,
-                      char_poly, eigenvalues, frobenius_norm, rank)
+                      _sort_eigenvalues, char_poly, eigenvalues,
+                      frobenius_norm, rank)
 from .errors import (DimensionError, SheetTrackingError, SpinpointError,
                      ZeroDiscriminantError)
 
@@ -216,6 +220,14 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.asarray(eigenvalues(CMatrix(comp)))
 
 
+def _spectra(pencil: PencilFamily, zs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of H(z) for each z, one sorted row per z, solved as one
+    stack."""
+    zs = np.asarray(zs, dtype=complex)
+    stack = pencil.a.data + zs[:, None, None] * pencil.b.data
+    return _sort_eigenvalues(_eigenvalues_stack(stack))
+
+
 def _pair_distances(values: np.ndarray) -> np.ndarray:
     """|v_i - v_j| for all i, j, with inf on the diagonal."""
     # hypot rounds like abs() of one complex; numpy's vectorised complex
@@ -299,7 +311,7 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     Any other group is relinked at half the radius until it splits. A
     group reports its centroid; a single root is polished.
     """
-    spectra = [np.asarray(eigenvalues(pencil.at(z))) for z in roots]
+    spectra = _spectra(pencil, roots)
     gaps = np.array([_min_gap(eigs) for eigs in spectra])
     slope = np.polyder(coeffs[::-1])
     found = []
@@ -386,8 +398,13 @@ def _match_indices(previous: np.ndarray,
 
 def _continue_segment(pencil: PencilFamily, path: PathSpec,
                       current: np.ndarray, t_from: float, t_to: float,
-                      depth: int, step_index: int) -> np.ndarray:
-    new_values = np.asarray(eigenvalues(pencil.at(path.point(t_to))))
+                      depth: int, step_index: int,
+                      new_values: np.ndarray | None = None) -> np.ndarray:
+    """Values continued from ``current`` at ``t_from`` to ``t_to``, whose
+    eigenvalues are ``new_values`` when already known; a step that fails
+    the match or jump test is bisected."""
+    if new_values is None:
+        new_values = np.asarray(eigenvalues(pencil.at(path.point(t_to))))
     pairing = _match_indices(current, new_values)
     if pairing is None:
         failure = "two sheets continue to the same eigenvalue"
@@ -416,8 +433,11 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
 
     The loop must stay farther than 1e-3 * radius from every exceptional
     point (checked against find_exceptional_points when that succeeds,
-    otherwise unchecked). Steps whose matched jump exceeds half the
-    minimal sheet gap are bisected up to 8 times before failing.
+    otherwise unchecked). The start is ``eigenvalues(H(path.point(0)))``,
+    which fixes the sheet order; the other ``steps`` path nodes are solved
+    as one stack and matched step by step. Steps whose matched jump
+    exceeds half the minimal sheet gap are bisected, with one eigen-solve
+    per midpoint, up to 8 times before failing.
     """
     try:
         eps = find_exceptional_points(pencil)
@@ -430,14 +450,19 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
                 f"path passes within {distance:.3e} of the exceptional "
                 f"point at z = {cand.z:.6g}")
 
+    # The start fixes the sheet labels, so it comes from eigenvalues()
+    # itself: a stack row may differ from it in the last bit, and that can
+    # swap two sheets of equal modulus. The other nodes are only matched.
     start = np.asarray(eigenvalues(pencil.at(path.point(0.0))))
+    spectra = _spectra(pencil, [path.point(j / path.steps)
+                                for j in range(1, path.steps + 1)])
     trajectories = [tuple(complex(v) for v in start)]
     current = start
     for j in range(1, path.steps + 1):
         t_prev = (j - 1) / path.steps
         t_next = j / path.steps
         current = _continue_segment(pencil, path, current, t_prev, t_next,
-                                    0, j)
+                                    0, j, spectra[j - 1])
         trajectories.append(tuple(complex(v) for v in current))
 
     pairing = _match_indices(current, start)

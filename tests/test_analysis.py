@@ -170,6 +170,32 @@ class TestNilpotency:
         assert report.index == 1
         assert report.rank_chain == (0,)
 
+    @pytest.mark.parametrize("n,c", [(8, 0.05), (12, 0.1), (26, 0.3)])
+    def test_scaled_identity_not_nilpotent(self, n, c):
+        # The powers fall below the zero ratio within n steps and every
+        # eigenvalue sits under the scatter threshold, but the rank chain
+        # (n, ..., n, 0) is no Jordan structure.
+        report = sp.nilpotency_report(sp.scale(c, CMatrix.identity(n)))
+        assert not report.is_nilpotent
+        assert report.index is None
+        assert report.rank_chain == ()
+
+    def test_shifted_jordan_block_not_nilpotent(self):
+        for n, c in ((5, 0.05), (12, 0.1)):
+            shifted = CMatrix(np.eye(n, k=1) + c * np.eye(n))
+            assert not sp.nilpotency_report(shifted).is_nilpotent
+
+    @pytest.mark.parametrize("sizes,chain", [((3, 2), (3, 1, 0)),
+                                             ((4, 1), (3, 2, 1, 0))])
+    def test_jordan_direct_sums(self, sizes, chain):
+        # The spin chains for 2s = 1..25 are pinned by acceptance
+        # criterion 02; these have more than one Jordan block.
+        blocks = [CMatrix(np.eye(k, k=1)) for k in sizes]
+        report = sp.nilpotency_report(sp.direct_sum(*blocks))
+        assert report.is_nilpotent
+        assert report.index == max(sizes)
+        assert report.rank_chain == chain
+
 
 class TestClosureProperties:
     def test_kron_and_direct_sum_preserve_nonnormality(self, rng):

@@ -392,3 +392,55 @@ class TestEigenvaluesAndSchur:
             sp.eigenvalues(random_cmatrix(rng, 5))
         assert info.value.block_index is not None
         assert 0 < info.value.block_index <= 4
+
+
+class TestEigenvalueStack:
+    """The lockstep QR loop over an (N, n, n) stack."""
+
+    @staticmethod
+    def mixed_stack(rng, n):
+        kinds = [random_complex(rng, n),
+                 rng.standard_normal((n, n)),
+                 random_hermitian(rng, n).data,
+                 np.triu(random_complex(rng, n)),
+                 np.diag(rng.choice([-1.0, 0.5j, 2.0], size=n)),
+                 np.zeros((n, n)),
+                 1e-3 * random_complex(rng, n),
+                 random_complex(rng, n) @ np.diag(np.arange(n) + 1.0)]
+        return np.array(kinds + [random_complex(rng, n) for _ in range(4)],
+                        dtype=complex)
+
+    def test_rows_match_scalar_eigenvalues(self, rng):
+        from spinpoint._schur import _eigenvalues_stack
+        for n in range(1, 9):
+            stack = self.mixed_stack(rng, n)
+            got = _eigenvalues_stack(stack)
+            assert got.shape == (len(stack), n)
+            for a, row in zip(stack, got):
+                ref, vals = paired_spectra(sp.eigenvalues(CMatrix(a)), row)
+                assert np.abs(ref - vals).max() <= 1e-13 * np.linalg.norm(a), \
+                    f"n={n}"
+
+    def test_neighbours_do_not_change_a_matrix(self, rng):
+        # The cyclic shift needs exceptional shifts, so it keeps its active
+        # block long after the random matrices beside it have deflated.
+        from spinpoint._schur import _eigenvalues_stack
+        for n in range(2, 9):
+            a = random_complex(rng, n)
+            shift = np.roll(np.eye(n), 1, axis=0)
+            alone = _eigenvalues_stack(a[None])[0]
+            stacked = _eigenvalues_stack(np.array([shift, a, shift, a]))
+            assert np.array_equal(stacked[1], alone), f"n={n}"
+            assert np.array_equal(stacked[3], alone), f"n={n}"
+            assert np.array_equal(stacked[0], _eigenvalues_stack(shift[None])[0])
+
+    def test_budget_error_carries_block_index(self, rng, monkeypatch):
+        import spinpoint._schur as engine
+        from spinpoint.errors import ConvergenceError
+        monkeypatch.setattr(engine, "SWEEP_BUDGET_PER_DIM", 0)
+        n = 5
+        stack = np.array([random_complex(rng, n) for _ in range(3)])
+        with pytest.raises(ConvergenceError) as info:
+            engine._eigenvalues_stack(stack)
+        assert info.value.block_index is not None
+        assert 0 < info.value.block_index <= n - 1

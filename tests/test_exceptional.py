@@ -7,7 +7,7 @@ import spinpoint as sp
 from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        discriminant_poly, find_exceptional_points,
                        trace_sheets)
-from spinpoint.errors import ZeroDiscriminantError
+from spinpoint.errors import SheetTrackingError, ZeroDiscriminantError
 from spinpoint.exceptional import _match_indices, _spectral_disc
 
 from conftest import SIGMA1, SIGMA3, random_cmatrix, random_complex
@@ -290,6 +290,44 @@ class TestTraceSheets:
         result = trace_sheets(hermitian_example(), path)
         assert len(result.trajectories) == 33
         assert all(len(row) == 2 for row in result.trajectories)
+
+    def test_start_is_the_sorted_spectrum(self):
+        pencil, path = spin_pencil(3), PathSpec(center=1j, radius=0.1, steps=32)
+        start = sp.eigenvalues(pencil.at(path.point(0.0)))
+        assert trace_sheets(pencil, path).trajectories[0] == tuple(start)
+
+    def test_coarse_step_bisects_and_keeps_the_swap(self, monkeypatch):
+        # The loop encloses i/2 only and passes 0.01 from -i/2, where the
+        # 16 coarse steps jump by more than half the sheet gap.
+        import spinpoint.exceptional as exceptional
+        pencil = hermitian_example()
+        path = PathSpec(center=0.5j, radius=0.99, steps=16)
+        solved = []
+
+        def recording(a):
+            solved.append(a.data)
+            return eigenvalues(a)
+
+        eigenvalues = exceptional.eigenvalues
+        monkeypatch.setattr(exceptional, "eigenvalues", recording)
+        result = trace_sheets(pencil, path)
+        assert result.permutation == (1, 0)
+        midpoints = [pencil.at(path.point(0.5 * ((j - 1) / path.steps
+                                                 + j / path.steps))).data
+                     for j in range(1, path.steps + 1)]
+        bisections = sum(any(np.array_equal(m, mid) for mid in midpoints)
+                         for m in solved)
+        assert bisections >= 1
+
+    def test_unresolvable_step_raises_with_its_index(self):
+        # Two sheets equal at every z: every step clashes, and after 8
+        # bisections the first step fails. D vanishes identically, so the
+        # EP guard is skipped.
+        pencil = PencilFamily(a=CMatrix.zeros(2), b=CMatrix.identity(2))
+        with pytest.raises(SheetTrackingError) as info:
+            trace_sheets(pencil, PathSpec(center=0.0, radius=1.0, steps=16))
+        assert info.value.step_index == 1
+        assert "after 8 bisections" in str(info.value)
 
     def test_rejects_path_through_exceptional_point(self):
         with pytest.raises(ValueError):
