@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schur import schur_decompose
+from ._schur import _binary_exponent, _ldexp, schur_decompose
 from .errors import DimensionError, NonFiniteError
 
 __all__ = [
@@ -313,8 +313,12 @@ def eigenvalues(a: CMatrix) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a square matrix.
 
     Hessenberg reduction followed by shifted QR iteration with
-    deflation. Returned in descending modulus, ties broken by descending
-    real part, then descending imaginary part.
+    deflation, without forming the Schur vectors. The computed values
+    are sorted by descending modulus, ties broken by descending real
+    part, then descending imaginary part. Eigenvalues of equal modulus
+    in exact arithmetic, such as a pair +/- lambda, usually differ in
+    their computed moduli by rounding, so their order is not a
+    contract; compare spectra as multisets.
 
     Raises
     ------
@@ -323,7 +327,7 @@ def eigenvalues(a: CMatrix) -> np.ndarray:
         unconverged block index.
     """
     a.require_square("eigenvalues")
-    t, _ = schur_decompose(a.data)
+    t, _ = schur_decompose(a.data, want_q=False)
     return _sort_eigenvalues(np.diag(t))
 
 
@@ -344,7 +348,11 @@ def schur(a: CMatrix) -> SchurForm:
     """
     a.require_square("schur")
     t, u = schur_decompose(a.data)
-    residual = float(np.linalg.norm(a.data - u @ t @ u.conj().T))
+    # Norm of the power-of-two-scaled difference, scaled back: exact, and
+    # free of the overflow and underflow of squaring the entries.
+    diff = a.data - u @ t @ u.conj().T
+    e = _binary_exponent(diff)
+    residual = float(np.ldexp(np.linalg.norm(_ldexp(diff, -e)), e))
     return SchurForm(u=CMatrix(u), t=CMatrix(t), residual=residual)
 
 

@@ -196,6 +196,34 @@ class TestNilpotency:
         assert report.index == max(sizes)
         assert report.rank_chain == chain
 
+    @staticmethod
+    def perturbed_jordan(d):
+        # J_4 + d e_4 e_1^T: eigenvalues d^(1/4) times the fourth roots of 1.
+        a = np.eye(4, k=1)
+        a[3, 0] = d
+        return CMatrix(a)
+
+    def test_eigenvalue_gate_decides(self, monkeypatch):
+        # d = 5e-12: the powers vanish at k = 4 and the chain (3, 2, 1, 0)
+        # is a Jordan structure; only max |lambda| = 1.50e-3 over the
+        # scatter threshold 1.33e-3 says "not nilpotent".
+        a = self.perturbed_jordan(5e-12)
+        assert abs(np.abs(sp.eigenvalues(a)).max() - 1.50e-3) < 1e-5
+        assert not sp.nilpotency_report(a).is_nilpotent
+        monkeypatch.setattr(sp.analysis, "_eigenvalue_scatter_threshold",
+                            lambda m: np.inf)
+        ungated = sp.nilpotency_report(a)
+        assert ungated.is_nilpotent
+        assert ungated.index == 4
+        assert ungated.rank_chain == (3, 2, 1, 0)
+
+    def test_eigenvalue_gate_admits_smaller_perturbation(self):
+        # d = 1e-12: max |lambda| = 1.0e-3 is under the threshold.
+        report = sp.nilpotency_report(self.perturbed_jordan(1e-12))
+        assert report.is_nilpotent
+        assert report.index == 4
+        assert report.rank_chain == (3, 2, 1, 0)
+
 
 class TestClosureProperties:
     def test_kron_and_direct_sum_preserve_nonnormality(self, rng):

@@ -393,6 +393,86 @@ class TestEigenvaluesAndSchur:
         assert info.value.block_index is not None
         assert 0 < info.value.block_index <= 4
 
+    def test_schur_convergence_error_carries_block_index(self, rng,
+                                                         monkeypatch):
+        import spinpoint._schur as engine
+        monkeypatch.setattr(engine, "SWEEP_BUDGET_PER_DIM", 0)
+        from spinpoint.errors import ConvergenceError
+        n = 5
+        with pytest.raises(ConvergenceError) as info:
+            sp.schur(random_cmatrix(rng, n))
+        assert info.value.block_index is not None
+        assert 0 < info.value.block_index <= n - 1
+
+
+class TestQFreeChase:
+    """``schur_decompose(a, want_q=False)``: no Q, only the active blocks
+    updated, so only T's diagonal is meaningful."""
+
+    @staticmethod
+    def kinds(rng, n):
+        # Block upper triangular: the Hessenberg form splits at n // 2, and
+        # the QR steps on the trailing block leave rows above it to update.
+        split = random_complex(rng, n)
+        split[n // 2:, :n // 2] = 0.0
+        return [random_complex(rng, n),
+                rng.standard_normal((n, n)),
+                random_hermitian(rng, n).data,
+                np.triu(random_complex(rng, n)),
+                split,
+                np.zeros((n, n)),
+                np.eye(n, k=1),
+                np.roll(np.eye(n), 1, axis=0)]
+
+    def test_diagonal_matches_full_schur(self, rng):
+        from spinpoint._schur import schur_decompose
+        for n in range(1, 27):
+            for a in self.kinds(rng, n):
+                t, q = schur_decompose(a, want_q=False)
+                assert q is None
+                full, _ = schur_decompose(a)
+                got, ref = paired_spectra(np.diag(t), np.diag(full))
+                assert np.abs(got - ref).max() <= 1e-13 * np.linalg.norm(a), \
+                    f"n={n}"
+
+    def test_full_form_reconstructs(self, rng):
+        from spinpoint._schur import schur_decompose
+        for n in range(1, 27):
+            for a in self.kinds(rng, n):
+                t, q = schur_decompose(a)
+                scale = n * np.linalg.norm(a)
+                assert np.linalg.norm(a - q @ t @ q.conj().T) <= 1e-12 * scale
+                assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12 * n
+                assert not np.tril(t, -1).any()
+
+
+class TestPowerOfTwoScaling:
+    """Both QR loops scale by a power of two before squaring any entry, so
+    results far outside 1e+/-154 are right, and exact multiples of the
+    unscaled ones."""
+
+    @pytest.mark.parametrize("k", [500, -500, 600, -600, 1000, -1000])
+    def test_exact_multiples(self, rng, k):
+        from spinpoint._schur import _eigenvalues_stack
+        a = random_complex(rng, 4)
+        scaled = 2.0 ** k * a
+        assert np.array_equal(sp.eigenvalues(CMatrix(scaled)),
+                              2.0 ** k * sp.eigenvalues(CMatrix(a)))
+        assert np.array_equal(sp.schur(CMatrix(scaled)).t.data,
+                              2.0 ** k * sp.schur(CMatrix(a)).t.data)
+        rows = _eigenvalues_stack(np.array([a, scaled]))
+        assert np.array_equal(rows[1], 2.0 ** k * rows[0])
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200, 1e160, 1e-160])
+    def test_extreme_magnitudes(self, rng, c):
+        a = random_complex(rng, 4)
+        ref = sp.eigenvalues(CMatrix(a))
+        scale = np.abs(ref).max()
+        got = sp.eigenvalues(CMatrix(c * a))
+        assert np.abs(got / c - ref).max() <= 1e-13 * scale
+        form = sp.schur(CMatrix(c * a))
+        assert 0.0 < form.residual <= 1e-13 * c * np.linalg.norm(a)
+
 
 class TestEigenvalueStack:
     """The lockstep QR loop over an (N, n, n) stack."""
