@@ -10,16 +10,15 @@ dimensions this package targets (n up to a few dozen).
 Two loops run that chase. ``schur_decompose`` takes one matrix and
 chases on its rows as lists of Python ``complex``: at these sizes a
 rotation is a few scalar multiply-adds per entry, which numpy's per-call
-overhead would dominate. Rotations touch only the active block. With
-``want_q`` false that is all (LAPACK ``zlahqr`` with ``wantt = wantz =
-false``): no Q, and only T's diagonal is meaningful. With ``want_q``,
-each QR step's rotations are multiplied out into one unitary Z, and one
-matrix product per step brings Q and the entries of T outside the block
-up to date. ``_eigenvalues_stack`` takes an ``(N, n, n)`` stack and
-returns eigenvalues only: every matrix keeps its own active block, shift
-and step counts, and one sweep chases all of them in lockstep, so the
-interpreter overhead of a rotation is paid once per stack, not once per
-matrix. Both share the Hessenberg reduction and the deflation test.
+overhead would dominate. With ``want_q`` each rotation is applied to
+all of T that it changes and to Q; without it, to the active block only
+(LAPACK ``zlahqr`` with ``wantt = wantz = false``): no Q, and only T's
+diagonal is meaningful. ``_eigenvalues_stack`` takes an ``(N, n, n)``
+stack and returns eigenvalues only: every matrix keeps its own active
+block, shift and step counts, and one sweep chases all of them in
+lockstep, so the interpreter overhead of a rotation is paid once per
+stack, not once per matrix. Both share the Hessenberg reduction and the
+deflation test.
 
 Both loops first scale each matrix by the power of two that brings its
 largest real or imaginary entry into [0.5, 1), and scale the result
@@ -86,8 +85,8 @@ def hessenberg(a: np.ndarray, want_q: bool = True
     h = np.array(a, dtype=complex)
     q = None
     if want_q:
-        q = np.zeros_like(h)
-        q[..., range(n), range(n)] = 1.0
+        q = np.empty_like(h)
+        q[...] = np.eye(n, dtype=complex)
     for k in range(n - 2):
         # Reflect x onto the phase of its pivot (onto 1 for a zero pivot).
         # A zero x leaves v = 0, and the reflection is the identity.
@@ -142,7 +141,8 @@ def schur_decompose(a: np.ndarray, want_q: bool = True
 
     Returns ``(T, Q)``. With ``want_q`` false, Q is None and only T's
     diagonal, the eigenvalues, is meaningful: neither Q nor the entries
-    of T outside the active blocks are updated.
+    of T outside the active blocks are updated. The diagonal is the same
+    in both modes, bit for bit.
 
     Raises
     ------
@@ -156,22 +156,26 @@ def schur_decompose(a: np.ndarray, want_q: bool = True
     h, q = hessenberg(_ldexp(a, -e), want_q)
     floor = _EPS * float(np.linalg.norm(h))
     rows = h.tolist()
-    _chase(rows, q, floor)
+    q_rows = None if q is None else q.tolist()
+    _chase(rows, q_rows, floor)
     # Enforce the triangular structure the iteration produced.
     for i in range(1, n):
         rows[i][:i] = [0j] * i
-    return _ldexp(np.array(rows, dtype=complex), e), q
+    return (_ldexp(np.array(rows, dtype=complex), e),
+            None if q is None else np.array(q_rows, dtype=complex))
 
 
-def _chase(h: list, q: np.ndarray | None, floor: float) -> None:
+def _chase(h: list, q: list | None, floor: float) -> None:
     """The QR iteration of ``schur_decompose`` on the Hessenberg matrix
-    ``h`` (rows of Python ``complex``), in place.
+    ``h``, in place; ``h`` and ``q`` are rows of Python ``complex``.
 
-    Each rotation is applied as scalar multiply-adds to the active block
-    only: row updates stop at its last column and column updates start
-    at its first row. With ``q``, the step's rotations are also
-    multiplied out into one unitary Z, which ``_update_outside`` applies
-    to the rest of ``h`` and to ``q``.
+    Each rotation is applied as scalar multiply-adds. Without ``q`` it
+    touches the active block only: row updates stop at its last column
+    and column updates start at its first row. With ``q`` the row
+    updates run to the last column and the column updates start at row
+    0, and the rotation is also applied to the columns of ``q``. The
+    step reads no entry outside the block, so both modes compute the
+    block, and so the eigenvalues, alike.
     """
     n = len(h)
     budget = SWEEP_BUDGET_PER_DIM * n
@@ -210,9 +214,10 @@ def _chase(h: list, q: np.ndarray | None, floor: float) -> None:
             lam1, lam2 = mid + disc, mid - disc
             mu = lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
 
-        # Column j of the step's rotation product Z is final once rotation
-        # j is applied; ``tail`` is column j + 1 until then.
-        z_cols, tail = [], [1.0]
+        # A rotation at k changes columns first..last of rows k, k + 1 and
+        # rows top..k + 2 of columns k, k + 1; without Q, only the active
+        # block is kept up to date.
+        last, top = (hi, lo) if q is None else (n - 1, 0)
         # Implicit single-shift step: the first rotation is that of the
         # shifted QR factorisation, the rest chase the bulge it leaves at
         # (k + 1, k - 1) down and off the active block.
@@ -227,44 +232,22 @@ def _chase(h: list, q: np.ndarray | None, floor: float) -> None:
             c, s = (x / r, y / r) if r > 0.0 else (1.0, 0.0)
             cc, sc = c.conjugate(), s.conjugate()
             # Rows k, k + 1 times G = [[c*, s*], [-s, c]] ...
-            for j in range(first, hi + 1):
+            for j in range(first, last + 1):
                 u, v = upper[j], lower[j]
                 upper[j] = cc * u + sc * v
                 lower[j] = c * v - s * u
             if k > lo:
                 lower[first] = 0j
-            # ... then columns k, k + 1 times G*.
-            for row in h[lo:k + 3 if k + 3 <= hi else hi + 1]:
+            # ... then columns k, k + 1 times G*, in h and in q.
+            for row in h[top:k + 3 if k + 3 <= hi else hi + 1]:
                 u, v = row[k], row[k + 1]
                 row[k] = u * c + v * s
                 row[k + 1] = v * cc - u * sc
             if q is not None:
-                z_cols.append([u * c for u in tail] + [s])
-                tail = [-u * sc for u in tail] + [cc]
-        if q is not None:
-            z_cols.append(tail)
-            m = hi - lo + 1
-            z = np.array([col + [0j] * (m - len(col)) for col in z_cols]).T
-            _update_outside(h, q, z, lo, hi)
-
-
-def _update_outside(h: list, q: np.ndarray, z: np.ndarray,
-                    lo: int, hi: int) -> None:
-    """Apply a QR step on the active block ``[lo..hi]``, its rotations
-    multiplied out as Z, where ``_chase`` does not: to Q, and to the rows
-    of ``h`` above the block and its columns right of the block. The
-    step reads none of these entries, so one product per step gives the
-    same similarity as one rotation at a time."""
-    block = slice(lo, hi + 1)
-    q[:, block] = q[:, block] @ z
-    if lo > 0:
-        above = np.array([row[block] for row in h[:lo]]) @ z
-        for row, new in zip(h[:lo], above.tolist()):
-            row[block] = new
-    if hi + 1 < len(h):
-        right = z.conj().T @ np.array([row[hi + 1:] for row in h[block]])
-        for row, new in zip(h[block], right.tolist()):
-            row[hi + 1:] = new
+                for row in q:
+                    u, v = row[k], row[k + 1]
+                    row[k] = u * c + v * s
+                    row[k + 1] = v * cc - u * sc
 
 
 def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:

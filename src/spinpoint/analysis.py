@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, adjoint,
-                      commutator, eigenvalues, frobenius_norm, rank, schur)
+from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
+                      adjoint, commutator, eigenvalues, frobenius_norm, rank,
+                      schur)
 from .errors import ConvergenceError, DimensionError
 
 __all__ = [
@@ -161,30 +162,30 @@ def nilpotency_report(a: CMatrix,
     """
     a.require_square("nilpotency_report")
     n = a.rows
-    eigs = eigenvalues(a)
-    eig_ok = bool(np.abs(eigs).max() <= _eigenvalue_scatter_threshold(a))
+    not_nilpotent = NilpotencyReport(is_nilpotent=False, index=None,
+                                     rank_chain=())
+    if np.abs(eigenvalues(a)).max() > _eigenvalue_scatter_threshold(a):
+        return not_nilpotent
 
     powers = []
-    norms = []
     current = np.eye(n, dtype=complex)
     running_max = frobenius_norm(a)
     index = None
     for k in range(1, n + 1):
         current = current @ a.data
-        nrm = float(np.linalg.norm(current))
+        nrm = _frobenius(current)
         powers.append(current)
-        norms.append(nrm)
         running_max = max(running_max, nrm)
         if nrm <= POWER_ZERO_RATIO * running_max:
             index = k
             break
 
-    chain = []
-    if eig_ok and index is not None:
-        chain = [rank(CMatrix(powers[k]), tol) for k in range(index - 1)] + [0]
+    if index is None:
+        return not_nilpotent
+    chain = [rank(CMatrix(powers[k]), tol) for k in range(index - 1)] + [0]
     weyr = -np.diff([n] + chain)
-    if not chain or weyr.min() < 1 or (np.diff(weyr) > 0).any():
-        return NilpotencyReport(is_nilpotent=False, index=None, rank_chain=())
+    if weyr.min() < 1 or (np.diff(weyr) > 0).any():
+        return not_nilpotent
     return NilpotencyReport(is_nilpotent=True, index=index,
                             rank_chain=tuple(chain))
 

@@ -34,6 +34,23 @@ __all__ = [
 _EXP_TAYLOR_DEGREE = 13
 _EXP_TARGET_NORM = 0.5
 
+# Entries of largest modulus in this range square and sum, for any
+# dimension this package targets, without overflow or harmful underflow.
+_SQUARE_SAFE_MIN = 2.0 ** -500
+_SQUARE_SAFE_MAX = 2.0 ** 500
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of an ndarray, free of the overflow and underflow of
+    squaring its entries: only when its largest entry is outside the
+    square-safe range are the entries scaled by an exact power of two,
+    and the norm scaled back."""
+    big = np.abs(x).max()
+    if _SQUARE_SAFE_MIN <= big <= _SQUARE_SAFE_MAX or big == 0.0:
+        return float(np.linalg.norm(x))
+    e = _binary_exponent(x)
+    return float(np.ldexp(np.linalg.norm(_ldexp(x, -e)), e))
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -55,7 +72,7 @@ class Tolerance:
     def effective(self, a: "CMatrix | np.ndarray") -> float:
         data = a.data if isinstance(a, CMatrix) else np.asarray(a)
         n = max(data.shape)
-        return self.absolute + self.relative * n * float(np.linalg.norm(data))
+        return self.absolute + self.relative * n * _frobenius(data)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -223,7 +240,8 @@ def direct_sum(a: CMatrix, b: CMatrix) -> CMatrix:
 
 
 def frobenius_norm(a: CMatrix) -> float:
-    return float(np.linalg.norm(a.data))
+    """||A||_F, without the overflow and underflow of squaring entries."""
+    return _frobenius(a.data)
 
 
 def trace(a: CMatrix) -> complex:
@@ -348,11 +366,7 @@ def schur(a: CMatrix) -> SchurForm:
     """
     a.require_square("schur")
     t, u = schur_decompose(a.data)
-    # Norm of the power-of-two-scaled difference, scaled back: exact, and
-    # free of the overflow and underflow of squaring the entries.
-    diff = a.data - u @ t @ u.conj().T
-    e = _binary_exponent(diff)
-    residual = float(np.ldexp(np.linalg.norm(_ldexp(diff, -e)), e))
+    residual = _frobenius(a.data - u @ t @ u.conj().T)
     return SchurForm(u=CMatrix(u), t=CMatrix(t), residual=residual)
 
 

@@ -103,7 +103,10 @@ class EPCandidate:
 @dataclass(frozen=True)
 class PathSpec:
     """Circular loop center + radius * exp(2 pi i * turns * t), t in [0, 1],
-    sampled at steps+1 points. Negative turns reverse orientation."""
+    sampled at steps+1 points. Negative turns reverse orientation.
+
+    Raises ``ValueError`` for a non-finite center or radius, a radius
+    that is not positive, zero turns, or fewer than 16 steps."""
 
     center: complex
     radius: float
@@ -111,8 +114,12 @@ class PathSpec:
     turns: int = 1
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+            raise ValueError("center and radius must be finite")
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
+        if self.turns == 0:
+            raise ValueError("turns must be nonzero")
         if self.steps < 16:
             raise ValueError("steps must be at least 16")
 

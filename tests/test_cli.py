@@ -180,6 +180,15 @@ class TestPencilCommands:
         assert lines[0] == "step,t,z_re,z_im,eig0_re,eig0_im,eig1_re,eig1_im"
         assert len(lines) == 18  # header + 17 sample rows
 
+    def test_trace_nan_radius_is_invalid_path(self, run, pencil_files):
+        a_path, b_path = pencil_files
+        code, out, err = run("trace", "--a", a_path, "--b", b_path,
+                             "--center", "0,0.5", "--radius", "nan",
+                             "--steps", "64")
+        assert code == 1
+        assert err.startswith("invalid-path:")
+        assert out == ""
+
     def test_trace_near_ep_rejected(self, run, pencil_files):
         a_path, b_path = pencil_files
         code, _, err = run("trace", "--a", a_path, "--b", b_path,

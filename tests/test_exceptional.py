@@ -353,3 +353,10 @@ class TestTraceSheets:
             PathSpec(center=0.0, radius=0.0, steps=64)
         with pytest.raises(ValueError):
             PathSpec(center=0.0, radius=1.0, steps=8)
+        for center, radius in ((0.0, np.nan), (0.0, np.inf),
+                               (complex(np.nan, 0.0), 1.0),
+                               (complex(0.0, np.inf), 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                PathSpec(center=center, radius=radius, steps=64)
+        with pytest.raises(ValueError, match="turns"):
+            PathSpec(center=0.0, radius=1.0, steps=64, turns=0)
