@@ -20,7 +20,8 @@ bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
 it induces. The spectra at the path nodes after the start, like those at
 the companion roots of D, are solved as one stack by the lockstep QR
-loop.
+loop, and every step between them is tested in one array pass; only a
+step that fails is bisected, its midpoints solved one at a time.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class PathSpec:
         if self.steps < 16:
             raise ValueError("steps must be at least 16")
 
-    def point(self, t: float) -> complex:
+    def point(self, t: float | np.ndarray) -> complex | np.ndarray:
+        """The loop at ``t``, elementwise for an array of ``t``."""
         return self.center + self.radius * np.exp(2j * np.pi * self.turns * t)
 
 
@@ -236,12 +238,14 @@ def _spectra(pencil: PencilFamily, zs: np.ndarray) -> np.ndarray:
 
 
 def _pair_distances(values: np.ndarray) -> np.ndarray:
-    """|v_i - v_j| for all i, j, with inf on the diagonal."""
+    """|v_i - v_j| for all i, j along the last axis, with inf on the
+    diagonal."""
     # hypot rounds like abs() of one complex; numpy's vectorised complex
     # abs can differ in the last bit, and the gap is a reported figure.
-    diff = values[:, None] - values
+    diff = values[..., :, None] - values[..., None, :]
     dist = np.hypot(diff.real, diff.imag)
-    dist.flat[::len(values) + 1] = np.inf
+    diagonal = np.arange(values.shape[-1])
+    dist[..., diagonal, diagonal] = np.inf
     return dist
 
 
@@ -250,8 +254,9 @@ def _closest_pair_mean(values: np.ndarray) -> complex:
     return complex((values[i] + values[j]) / 2.0)
 
 
-def _min_gap(values: np.ndarray) -> float:
-    return float(_pair_distances(values).min())
+def _min_gap(values: np.ndarray) -> np.ndarray:
+    """Smallest pairwise distance of each row (inf for a single value)."""
+    return _pair_distances(values).min(axis=(-2, -1))
 
 
 def _linked(points: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -368,7 +373,7 @@ def find_exceptional_points(pencil: PencilFamily,
     norm_b = frobenius_norm(pencil.b)
     for z, eigs, converged in _locate(pencil, coeffs, roots):
         e = _closest_pair_mean(eigs)
-        gap = _min_gap(eigs)
+        gap = float(_min_gap(eigs))
         disc_residual = abs(complex(np.polyval(coeffs[::-1], z))) / disc_scale
         scale = 1.0 + norm_a + abs(z) * norm_b
         shifted = CMatrix(pencil.at(z).data - e * np.eye(n))
@@ -388,19 +393,28 @@ def find_exceptional_points(pencil: PencilFamily,
 # Sheet tracing
 
 
-def _match_indices(previous: np.ndarray,
-                   new_values: np.ndarray) -> np.ndarray | None:
-    """Pairing p with p[k] = index in ``new_values`` nearest to sheet k,
-    or None when two sheets claim the same value.
+def _step_test(previous: np.ndarray, new_values: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                          np.ndarray]:
+    """Test each step from a row of ``previous`` to the same row of
+    ``new_values``, over stacks of rows along the last axis.
 
-    A step is accepted only when every matched jump is at most half the
-    sheet gap, and under that condition each sheet's nearest new value
-    is unique; a clash therefore always means the step must be bisected.
+    Returns ``nearest``, the index in the new row nearest to each previous
+    value; ``clash``, whether two values pick the same index; ``far``,
+    whether the largest matched jump exceeds half the smaller of the two
+    rows' sheet gaps; and that jump and gap. A step passes when it neither
+    clashes nor jumps far, and then each sheet's nearest new value is
+    unique. Every result is invariant under permuting a previous row.
     """
-    pairing = np.abs(previous[:, None] - new_values).argmin(axis=1)
-    if len(set(pairing.tolist())) < len(pairing):
-        return None
-    return pairing
+    nearest = np.abs(previous[..., :, None]
+                     - new_values[..., None, :]).argmin(axis=-1)
+    picked = np.sort(nearest, axis=-1)
+    clash = (picked[..., 1:] == picked[..., :-1]).any(axis=-1)
+    jump = np.abs(np.take_along_axis(new_values, nearest, axis=-1)
+                  - previous).max(axis=-1)
+    gap = np.minimum(_min_gap(previous), _min_gap(new_values))
+    far = ~(jump <= 0.5 * gap)
+    return nearest, clash, far, jump, gap
 
 
 def _continue_segment(pencil: PencilFamily, path: PathSpec,
@@ -409,18 +423,15 @@ def _continue_segment(pencil: PencilFamily, path: PathSpec,
                       new_values: np.ndarray | None = None) -> np.ndarray:
     """Values continued from ``current`` at ``t_from`` to ``t_to``, whose
     eigenvalues are ``new_values`` when already known; a step that fails
-    the match or jump test is bisected."""
+    the step test is bisected."""
     if new_values is None:
         new_values = np.asarray(eigenvalues(pencil.at(path.point(t_to))))
-    pairing = _match_indices(current, new_values)
-    if pairing is None:
+    nearest, clash, far, jump, gap = _step_test(current, new_values)
+    if not (clash or far):
+        return new_values[nearest]
+    if clash:
         failure = "two sheets continue to the same eigenvalue"
     else:
-        new_values = new_values[pairing]
-        jump = float(np.abs(new_values - current).max())
-        gap = min(_min_gap(current), _min_gap(new_values))
-        if len(current) == 1 or jump <= 0.5 * gap:
-            return new_values
         failure = f"jump {jump:.3e} exceeds half the sheet gap {gap:.3e}"
     if depth >= _MAX_BISECTIONS:
         raise SheetTrackingError(
@@ -442,9 +453,10 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     point (checked against find_exceptional_points when that succeeds,
     otherwise unchecked). The start is ``eigenvalues(H(path.point(0)))``,
     which fixes the sheet order; the other ``steps`` path nodes are solved
-    as one stack and matched step by step. Steps whose matched jump
-    exceeds half the minimal sheet gap are bisected, with one eigen-solve
-    per midpoint, up to 8 times before failing.
+    as one stack, and their steps are tested in one array pass. The first
+    step whose sheets clash or whose matched jump exceeds half the minimal
+    sheet gap is bisected, with one eigen-solve per midpoint, up to 8 times
+    before failing; the array pass then resumes after it.
     """
     try:
         eps = find_exceptional_points(pencil)
@@ -460,29 +472,42 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     # The start fixes the sheet labels, so it comes from eigenvalues()
     # itself: a stack row may differ from it in the last bit, and that can
     # swap two sheets of equal modulus. The other nodes are only matched.
+    steps = path.steps
     start = np.asarray(eigenvalues(pencil.at(path.point(0.0))))
-    spectra = _spectra(pencil, [path.point(j / path.steps)
-                                for j in range(1, path.steps + 1)])
-    trajectories = [tuple(complex(v) for v in start)]
-    current = start
-    for j in range(1, path.steps + 1):
-        t_prev = (j - 1) / path.steps
-        t_next = j / path.steps
-        current = _continue_segment(pencil, path, current, t_prev, t_next,
-                                    0, j, spectra[j - 1])
-        trajectories.append(tuple(complex(v) for v in current))
+    nodes = path.point(np.arange(1, steps + 1) / steps)
+    # values[j] holds the eigenvalues at node j, and order[j] lists them in
+    # sheet order: sheet k continues to values[j][order[j][k]].
+    values = np.concatenate([start[None], _spectra(pencil, nodes)])
+    order = [list(range(pencil.size))]
+    while len(order) <= steps:
+        # Test every step from the last accepted node on, accept the
+        # leading run that passes and bisect the first step that fails.
+        done = len(order) - 1
+        nearest, clash, far, _, _ = _step_test(values[done:-1],
+                                               values[done + 1:])
+        failed = np.flatnonzero(clash | far)
+        for row in nearest[:failed[0] if len(failed) else None].tolist():
+            order.append([row[k] for k in order[-1]])
+        if len(failed):
+            j = len(order)
+            values[j] = _continue_segment(
+                pencil, path, values[j - 1][order[-1]], (j - 1) / steps,
+                j / steps, 0, j, values[j])
+            order.append(list(range(pencil.size)))
+    sheets = np.take_along_axis(values, np.array(order), axis=1)
 
-    pairing = _match_indices(current, start)
-    if pairing is None:
+    current = sheets[-1]
+    pairing, clash, _, closure_error, _ = _step_test(current, start)
+    if clash:
         raise SheetTrackingError(
             "loop failed to close: two sheets end at the same starting "
             "eigenvalue", step_index=path.steps)
-    closure_error = float(np.abs(start[pairing] - current).max())
+    closure_error = float(closure_error)
     limit = 1e-6 * frobenius_norm(pencil.at(path.center))
     if closure_error > limit:
         raise SheetTrackingError(
             f"loop failed to close: matched end-start distance "
             f"{closure_error:.3e} exceeds {limit:.3e}", step_index=path.steps)
-    return MonodromyResult(permutation=tuple(int(j) for j in pairing),
-                           trajectories=tuple(trajectories),
+    return MonodromyResult(permutation=tuple(pairing.tolist()),
+                           trajectories=tuple(map(tuple, sheets.tolist())),
                            closure_error=closure_error)

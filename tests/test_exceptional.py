@@ -8,9 +8,12 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        discriminant_poly, find_exceptional_points,
                        trace_sheets)
 from spinpoint.errors import SheetTrackingError, ZeroDiscriminantError
-from spinpoint.exceptional import _match_indices, _spectral_disc
+import spinpoint.exceptional as exceptional
+from spinpoint.exceptional import (_continue_segment, _spectra,
+                                   _spectral_disc, _step_test)
 
-from conftest import SIGMA1, SIGMA3, random_cmatrix, random_complex
+from conftest import (SIGMA1, SIGMA3, random_cmatrix, random_complex,
+                      random_unitary)
 
 
 def hermitian_example():
@@ -26,6 +29,33 @@ def pauli_example():
 def spin_pencil(twice):
     mats = sp.spin_matrices(Spin(twice))
     return PencilFamily(a=mats.s3, b=mats.s1)
+
+
+def rotated_example(seed):
+    """hermitian_example under a seeded unitary similarity."""
+    q = random_unitary(np.random.default_rng(seed), 2).data
+    return PencilFamily(a=CMatrix(q @ np.diag([0.0, 1.0]) @ q.conj().T),
+                        b=CMatrix(q @ SIGMA1 @ q.conj().T))
+
+
+def stepwise_trace(pencil, path):
+    """(permutation, trajectories, closure_error) from the loop that
+    continues one step at a time, each step one ``_continue_segment`` call
+    and so one one-row step test; no EP guard and no closure limit."""
+    steps = path.steps
+    start = np.asarray(exceptional.eigenvalues(pencil.at(path.point(0.0))))
+    spectra = _spectra(pencil, [path.point(j / steps)
+                                for j in range(1, steps + 1)])
+    trajectories = [tuple(complex(v) for v in start)]
+    current = start
+    for j in range(1, steps + 1):
+        current = _continue_segment(pencil, path, current, (j - 1) / steps,
+                                    j / steps, 0, j, spectra[j - 1])
+        trajectories.append(tuple(complex(v) for v in current))
+    pairing, clash, _, _, _ = _step_test(current, start)
+    assert not clash
+    closure_error = float(np.abs(start[pairing] - current).max())
+    return tuple(int(k) for k in pairing), tuple(trajectories), closure_error
 
 
 def numpy_gap(h):
@@ -229,8 +259,10 @@ def analytic_sheet_swap_oracle(path):
 class TestMatching:
     def test_nearest_value_equals_optimal_assignment(self, rng):
         # Within half the sheet gap the nearest-value pairing is the
-        # minimal-cost assignment.
+        # minimal-cost assignment. The cases are stacked by size and each
+        # stack is tested in one call.
         from scipy.optimize import linear_sum_assignment
+        cases = {}
         for _ in range(200):
             n = int(rng.integers(2, 8))
             previous = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -238,16 +270,56 @@ class TestMatching:
                 np.triu_indices(n, 1)].min()
             moved = previous + 0.499 * gap * rng.random(n) * \
                 np.exp(2j * np.pi * rng.random(n))
-            new_values = moved[rng.permutation(n)]
-            rows, cols = linear_sum_assignment(
-                np.abs(previous[:, None] - new_values[None, :]))
-            assert np.array_equal(_match_indices(previous, new_values),
-                                  cols[np.argsort(rows)])
+            cases.setdefault(n, []).append((previous,
+                                            moved[rng.permutation(n)]))
+        for rows in cases.values():
+            previous, new_values = map(np.array, zip(*rows))
+            nearest, clash, _, _, _ = _step_test(previous, new_values)
+            assert not clash.any()
+            for k in range(len(rows)):
+                assign, cols = linear_sum_assignment(
+                    np.abs(previous[k][:, None] - new_values[k][None, :]))
+                assert np.array_equal(nearest[k], cols[np.argsort(assign)])
 
     def test_clash_returns_no_pairing(self):
-        previous = np.array([0.0, 1.0, 3.0 + 1j])
-        new_values = np.array([0.4, 5.0, 3.0 + 1j])
-        assert _match_indices(previous, new_values) is None
+        previous = np.array([[0.0, 1.0, 3.0 + 1j], [0.0, 1.0, 3.0 + 1j],
+                             [0.0, 1.0, 3.0 + 1j]])
+        new_values = np.array([[3.0 + 1j, 1.1, 0.0], [0.4, 5.0, 3.0 + 1j],
+                               [0.1, 1.0, 3.0 + 1j]])
+        _, clash, _, _, _ = _step_test(previous, new_values)
+        assert clash.tolist() == [False, True, False]
+
+    def test_jump_is_held_to_the_smaller_gap(self):
+        # Both rows jump by 0.3; the first row's new values are 0.4 apart,
+        # so its gap falls from 1 to 0.4 and the step is too far.
+        previous = np.array([[0.0, 1.0], [0.0, 1.0]])
+        new_values = np.array([[0.3, 0.7], [0.3, 1.3]])
+        nearest, clash, far, jump, gap = _step_test(previous, new_values)
+        assert nearest.tolist() == [[0, 1], [0, 1]]
+        assert not clash.any()
+        assert far.tolist() == [True, False]
+        assert np.allclose(jump, 0.3) and np.allclose(gap, [0.4, 1.0])
+
+
+BULK_CASES = (
+    [(f"rotated{seed}-{center}-x{turns}", rotated_example(seed),
+      PathSpec(center=center, radius=0.1, steps=256, turns=turns))
+     for seed in (1, 2, 3) for center, turns in ((0.5j, 1), (0.5j, 2),
+                                                 (0.0, 1))]
+    + [(f"spin{twice}-{center}", spin_pencil(twice),
+        PathSpec(center=center, radius=0.1, steps=256))
+       for twice in (2, 3, 6) for center in (1j, 1.0)]
+    + [("bisecting", hermitian_example(),
+        PathSpec(center=0.5j, radius=0.99, steps=16))])
+
+
+class TestBulkPass:
+    @pytest.mark.parametrize("pencil, path", [case[1:] for case in BULK_CASES],
+                             ids=[case[0] for case in BULK_CASES])
+    def test_equals_the_stepwise_loop(self, pencil, path):
+        result = trace_sheets(pencil, path)
+        assert (result.permutation, result.trajectories,
+                result.closure_error) == stepwise_trace(pencil, path)
 
 
 class TestTraceSheets:
@@ -299,7 +371,6 @@ class TestTraceSheets:
     def test_coarse_step_bisects_and_keeps_the_swap(self, monkeypatch):
         # The loop encloses i/2 only and passes 0.01 from -i/2, where the
         # 16 coarse steps jump by more than half the sheet gap.
-        import spinpoint.exceptional as exceptional
         pencil = hermitian_example()
         path = PathSpec(center=0.5j, radius=0.99, steps=16)
         solved = []
@@ -318,6 +389,14 @@ class TestTraceSheets:
         bisections = sum(any(np.array_equal(m, mid) for mid in midpoints)
                          for m in solved)
         assert bisections >= 1
+        # The same scalar solves, in the same order, as the EP guard plus
+        # the step-at-a-time loop: no bisection skipped or repeated.
+        traced = solved[:]
+        solved.clear()
+        find_exceptional_points(pencil)
+        stepwise_trace(pencil, path)
+        assert len(traced) == len(solved)
+        assert all(map(np.array_equal, traced, solved))
 
     def test_unresolvable_step_raises_with_its_index(self):
         # Two sheets equal at every z: every step clashes, and after 8
@@ -347,6 +426,15 @@ class TestTraceSheets:
             result = trace_sheets(pencil, path)
             assert result.permutation == tuple(range(n))
             done += 1
+
+    @pytest.mark.parametrize("turns", [1, 2, -3])
+    @pytest.mark.parametrize("steps", [16, 256, 1000])
+    def test_point_of_an_array_is_elementwise(self, turns, steps):
+        path = PathSpec(center=0.3 - 0.2j, radius=0.7, steps=steps,
+                        turns=turns)
+        nodes = path.point(np.arange(1, steps + 1) / steps)
+        assert nodes.tolist() == [complex(path.point(j / steps))
+                                  for j in range(1, steps + 1)]
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
