@@ -397,7 +397,7 @@ def matrix_exp(a: CMatrix) -> CMatrix:
     """
     a.require_square("matrix_exp")
     n = a.rows
-    norm = float(np.linalg.norm(a.data))
+    norm = _frobenius(a.data)
     squarings = 0
     if norm > _EXP_TARGET_NORM:
         squarings = int(np.ceil(np.log2(norm / _EXP_TARGET_NORM)))

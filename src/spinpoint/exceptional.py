@@ -20,13 +20,15 @@ bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
 it induces. The spectra at the path nodes after the start, like those at
 the companion roots of D, are solved as one stack by the lockstep QR
-loop, and every step between them is tested in one array pass; only a
-step that fails is bisected, its midpoints solved one at a time.
+loop. Array passes over the loop's node stack test every step; a step
+that fails gets its midpoint solved alone and inserted, so every node is
+solved once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -324,7 +326,7 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     group reports its centroid; a single root is polished.
     """
     spectra = _spectra(pencil, roots)
-    gaps = np.array([_min_gap(eigs) for eigs in spectra])
+    gaps = _min_gap(spectra)
     slope = np.polyder(coeffs[::-1])
     found = []
     pending = [(np.arange(len(roots)),
@@ -393,56 +395,27 @@ def find_exceptional_points(pencil: PencilFamily,
 # Sheet tracing
 
 
-def _step_test(previous: np.ndarray, new_values: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                          np.ndarray]:
-    """Test each step from a row of ``previous`` to the same row of
-    ``new_values``, over stacks of rows along the last axis.
+def _step_test(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Test each step from row i to row i + 1 of a stack of spectra.
 
-    Returns ``nearest``, the index in the new row nearest to each previous
-    value; ``clash``, whether two values pick the same index; ``far``,
-    whether the largest matched jump exceeds half the smaller of the two
-    rows' sheet gaps; and that jump and gap. A step passes when it neither
-    clashes nor jumps far, and then each sheet's nearest new value is
-    unique. Every result is invariant under permuting a previous row.
+    Returns, per step, ``nearest``, the index in row i + 1 nearest to each
+    value of row i; ``clash``, whether two values pick the same index;
+    ``far``, whether the largest matched jump exceeds half the smaller of
+    the two rows' sheet gaps; and that jump and gap. A step passes when it
+    neither clashes nor jumps far, and then each sheet's nearest new value
+    is unique. Every result is invariant under permuting row i.
     """
-    nearest = np.abs(previous[..., :, None]
-                     - new_values[..., None, :]).argmin(axis=-1)
+    previous, new_values = rows[:-1], rows[1:]
+    nearest = np.abs(previous[:, :, None]
+                     - new_values[:, None, :]).argmin(axis=-1)
     picked = np.sort(nearest, axis=-1)
-    clash = (picked[..., 1:] == picked[..., :-1]).any(axis=-1)
+    clash = (picked[:, 1:] == picked[:, :-1]).any(axis=-1)
     jump = np.abs(np.take_along_axis(new_values, nearest, axis=-1)
                   - previous).max(axis=-1)
-    gap = np.minimum(_min_gap(previous), _min_gap(new_values))
+    gaps = _min_gap(rows)
+    gap = np.minimum(gaps[:-1], gaps[1:])
     far = ~(jump <= 0.5 * gap)
     return nearest, clash, far, jump, gap
-
-
-def _continue_segment(pencil: PencilFamily, path: PathSpec,
-                      current: np.ndarray, t_from: float, t_to: float,
-                      depth: int, step_index: int,
-                      new_values: np.ndarray | None = None) -> np.ndarray:
-    """Values continued from ``current`` at ``t_from`` to ``t_to``, whose
-    eigenvalues are ``new_values`` when already known; a step that fails
-    the step test is bisected."""
-    if new_values is None:
-        new_values = np.asarray(eigenvalues(pencil.at(path.point(t_to))))
-    nearest, clash, far, jump, gap = _step_test(current, new_values)
-    if not (clash or far):
-        return new_values[nearest]
-    if clash:
-        failure = "two sheets continue to the same eigenvalue"
-    else:
-        failure = f"jump {jump:.3e} exceeds half the sheet gap {gap:.3e}"
-    if depth >= _MAX_BISECTIONS:
-        raise SheetTrackingError(
-            f"eigenvalue continuation failed at step {step_index}: "
-            f"{failure} after {_MAX_BISECTIONS} bisections",
-            step_index=step_index)
-    t_mid = 0.5 * (t_from + t_to)
-    half = _continue_segment(pencil, path, current, t_from, t_mid,
-                             depth + 1, step_index)
-    return _continue_segment(pencil, path, half, t_mid, t_to,
-                             depth + 1, step_index)
 
 
 def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
@@ -453,10 +426,12 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     point (checked against find_exceptional_points when that succeeds,
     otherwise unchecked). The start is ``eigenvalues(H(path.point(0)))``,
     which fixes the sheet order; the other ``steps`` path nodes are solved
-    as one stack, and their steps are tested in one array pass. The first
-    step whose sheets clash or whose matched jump exceeds half the minimal
-    sheet gap is bisected, with one eigen-solve per midpoint, up to 8 times
-    before failing; the array pass then resumes after it.
+    as one stack. One pass tests every step of the stack from the last
+    accepted node on and accepts the leading run that passes. A step whose
+    sheets clash or whose matched jump exceeds half the minimal sheet gap
+    gets its midpoint solved and inserted, which makes both halves one
+    bisection deeper, and the pass resumes; a step still failing after 8
+    bisections raises. Every node is solved once.
     """
     try:
         eps = find_exceptional_points(pencil)
@@ -475,39 +450,59 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     steps = path.steps
     start = np.asarray(eigenvalues(pencil.at(path.point(0.0))))
     nodes = path.point(np.arange(1, steps + 1) / steps)
-    # values[j] holds the eigenvalues at node j, and order[j] lists them in
-    # sheet order: sheet k continues to values[j][order[j][k]].
+    # Row i of values is the spectrum at t[i], in sheet order up to row
+    # done. level[i] is 0 at a requested node and d at a midpoint inserted
+    # by the d-th bisection, so a step is as deep as its deeper end.
     values = np.concatenate([start[None], _spectra(pencil, nodes)])
-    order = [list(range(pencil.size))]
-    while len(order) <= steps:
-        # Test every step from the last accepted node on, accept the
-        # leading run that passes and bisect the first step that fails.
-        done = len(order) - 1
-        nearest, clash, far, _, _ = _step_test(values[done:-1],
-                                               values[done + 1:])
+    t = [j / steps for j in range(steps + 1)]
+    level = [0] * (steps + 1)
+    done = 0
+    while True:
+        nearest, clash, far, jump, gap = _step_test(values[done:])
         failed = np.flatnonzero(clash | far)
-        for row in nearest[:failed[0] if len(failed) else None].tolist():
-            order.append([row[k] for k in order[-1]])
-        if len(failed):
-            j = len(order)
-            values[j] = _continue_segment(
-                pencil, path, values[j - 1][order[-1]], (j - 1) / steps,
-                j / steps, 0, j, values[j])
-            order.append(list(range(pencil.size)))
-    sheets = np.take_along_axis(values, np.array(order), axis=1)
+        accepted = failed[0] if len(failed) else len(nearest)
+        # The sheet order of row done + i + 1 is nearest[i] gathered by that
+        # of row done + i; Python lists compose these few-entry gathers
+        # faster than numpy, and the rows are reordered at once.
+        orders = accumulate(nearest[:accepted].tolist(),
+                            lambda order, row: [row[k] for k in order],
+                            initial=list(range(pencil.size)))
+        rows = values[done:done + accepted + 1]
+        rows[:] = np.take_along_axis(rows, np.array(list(orders)), axis=1)
+        done += accepted
+        if not len(failed):
+            break
+        depth = max(level[done], level[done + 1])
+        if depth >= _MAX_BISECTIONS:
+            if clash[accepted]:
+                failure = "two sheets continue to the same eigenvalue"
+            else:
+                failure = (f"jump {jump[accepted]:.3e} exceeds half the "
+                           f"sheet gap {gap[accepted]:.3e}")
+            step_index = level[:done + 1].count(0)
+            raise SheetTrackingError(
+                f"eigenvalue continuation failed at step {step_index}: "
+                f"{failure} after {_MAX_BISECTIONS} bisections",
+                step_index=step_index)
+        t_mid = 0.5 * (t[done] + t[done + 1])
+        mid = np.asarray(eigenvalues(pencil.at(path.point(t_mid))))
+        values = np.insert(values, done + 1, mid, axis=0)
+        t.insert(done + 1, t_mid)
+        level.insert(done + 1, depth + 1)
+    sheets = values[np.array(level) == 0]
 
-    current = sheets[-1]
-    pairing, clash, _, closure_error, _ = _step_test(current, start)
-    if clash:
+    pairing, clash, _, closure_error, _ = _step_test(
+        np.array([sheets[-1], start]))
+    if clash[0]:
         raise SheetTrackingError(
             "loop failed to close: two sheets end at the same starting "
             "eigenvalue", step_index=path.steps)
-    closure_error = float(closure_error)
+    closure_error = float(closure_error[0])
     limit = 1e-6 * frobenius_norm(pencil.at(path.center))
     if closure_error > limit:
         raise SheetTrackingError(
             f"loop failed to close: matched end-start distance "
             f"{closure_error:.3e} exceeds {limit:.3e}", step_index=path.steps)
-    return MonodromyResult(permutation=tuple(pairing.tolist()),
+    return MonodromyResult(permutation=tuple(pairing[0].tolist()),
                            trajectories=tuple(map(tuple, sheets.tolist())),
                            closure_error=closure_error)

@@ -287,6 +287,13 @@ class TestExp:
         result = sp.matrix_exp(a)
         assert sp.frobenius_norm(sp.add(result, CMatrix.identity(2))) <= 1e-9
 
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
+    def test_huge_nilpotent_truncates_exactly(self, c):
+        # The norm of c J_2 overflows when its entries are squared; the
+        # scaling by a power of two and the squarings are exact here.
+        a = CMatrix([[0.0, c], [0.0, 0.0]])
+        assert sp.matrix_exp(a) == CMatrix([[1.0, c], [0.0, 1.0]])
+
     def test_exp_of_zero(self):
         assert sp.matrix_exp(CMatrix.zeros(3)) == CMatrix.identity(3)
 

@@ -9,8 +9,7 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        trace_sheets)
 from spinpoint.errors import SheetTrackingError, ZeroDiscriminantError
 import spinpoint.exceptional as exceptional
-from spinpoint.exceptional import (_continue_segment, _spectra,
-                                   _spectral_disc, _step_test)
+from spinpoint.exceptional import _spectra, _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, random_cmatrix, random_complex,
                       random_unitary)
@@ -38,22 +37,48 @@ def rotated_example(seed):
                         b=CMatrix(q @ SIGMA1 @ q.conj().T))
 
 
+def stepwise_step(previous, new_values):
+    """Nearest new index of each previous value, or None when two values
+    pick one index or the largest jump exceeds half the smaller sheet
+    gap: the matching rule, one step at a time."""
+    dist = np.abs(previous[:, None] - new_values[None, :])
+    nearest = dist.argmin(axis=1)
+    jump = dist[np.arange(len(previous)), nearest].max()
+    gap = min(min(abs(complex(u - v)) for i, u in enumerate(row)
+                  for v in row[i + 1:]) for row in (previous, new_values))
+    if len(set(nearest.tolist())) < len(nearest) or not jump <= 0.5 * gap:
+        return None
+    return nearest
+
+
 def stepwise_trace(pencil, path):
-    """(permutation, trajectories, closure_error) from the loop that
-    continues one step at a time, each step one ``_continue_segment`` call
-    and so one one-row step test; no EP guard and no closure limit."""
+    """(permutation, trajectories, closure_error) from a loop that
+    continues one requested step at a time and bisects a failing step
+    recursively, with one scalar solve per midpoint and the known values
+    at both ends; no EP guard and no closure limit."""
     steps = path.steps
+
+    def continued(current, t_from, t_to, new_values, depth):
+        nearest = stepwise_step(current, new_values)
+        if nearest is not None:
+            return new_values[nearest]
+        assert depth < exceptional._MAX_BISECTIONS
+        t_mid = 0.5 * (t_from + t_to)
+        mid = np.asarray(exceptional.eigenvalues(pencil.at(path.point(t_mid))))
+        half = continued(current, t_from, t_mid, mid, depth + 1)
+        return continued(half, t_mid, t_to, new_values, depth + 1)
+
     start = np.asarray(exceptional.eigenvalues(pencil.at(path.point(0.0))))
     spectra = _spectra(pencil, [path.point(j / steps)
                                 for j in range(1, steps + 1)])
     trajectories = [tuple(complex(v) for v in start)]
     current = start
     for j in range(1, steps + 1):
-        current = _continue_segment(pencil, path, current, (j - 1) / steps,
-                                    j / steps, 0, j, spectra[j - 1])
+        current = continued(current, (j - 1) / steps, j / steps,
+                            spectra[j - 1], 0)
         trajectories.append(tuple(complex(v) for v in current))
-    pairing, clash, _, _, _ = _step_test(current, start)
-    assert not clash
+    pairing = stepwise_step(current, start)
+    assert pairing is not None
     closure_error = float(np.abs(start[pairing] - current).max())
     return tuple(int(k) for k in pairing), tuple(trajectories), closure_error
 
@@ -256,6 +281,14 @@ def analytic_sheet_swap_oracle(path):
     return bool(abs(w + first) < abs(w - first))
 
 
+def paired_steps(previous, new_values):
+    """``_step_test`` of the steps from each row of ``previous`` to the
+    same row of ``new_values``, from one stack that interleaves them."""
+    rows = np.empty((2 * len(previous), previous.shape[1]), dtype=complex)
+    rows[0::2], rows[1::2] = previous, new_values
+    return tuple(result[0::2] for result in _step_test(rows))
+
+
 class TestMatching:
     def test_nearest_value_equals_optimal_assignment(self, rng):
         # Within half the sheet gap the nearest-value pairing is the
@@ -274,7 +307,7 @@ class TestMatching:
                                             moved[rng.permutation(n)]))
         for rows in cases.values():
             previous, new_values = map(np.array, zip(*rows))
-            nearest, clash, _, _, _ = _step_test(previous, new_values)
+            nearest, clash, _, _, _ = paired_steps(previous, new_values)
             assert not clash.any()
             for k in range(len(rows)):
                 assign, cols = linear_sum_assignment(
@@ -286,7 +319,7 @@ class TestMatching:
                              [0.0, 1.0, 3.0 + 1j]])
         new_values = np.array([[3.0 + 1j, 1.1, 0.0], [0.4, 5.0, 3.0 + 1j],
                                [0.1, 1.0, 3.0 + 1j]])
-        _, clash, _, _, _ = _step_test(previous, new_values)
+        _, clash, _, _, _ = paired_steps(previous, new_values)
         assert clash.tolist() == [False, True, False]
 
     def test_jump_is_held_to_the_smaller_gap(self):
@@ -294,7 +327,7 @@ class TestMatching:
         # so its gap falls from 1 to 0.4 and the step is too far.
         previous = np.array([[0.0, 1.0], [0.0, 1.0]])
         new_values = np.array([[0.3, 0.7], [0.3, 1.3]])
-        nearest, clash, far, jump, gap = _step_test(previous, new_values)
+        nearest, clash, far, jump, gap = paired_steps(previous, new_values)
         assert nearest.tolist() == [[0, 1], [0, 1]]
         assert not clash.any()
         assert far.tolist() == [True, False]
@@ -310,7 +343,10 @@ BULK_CASES = (
         PathSpec(center=center, radius=0.1, steps=256))
        for twice in (2, 3, 6) for center in (1j, 1.0)]
     + [("bisecting", hermitian_example(),
-        PathSpec(center=0.5j, radius=0.99, steps=16))])
+        PathSpec(center=0.5j, radius=0.99, steps=16)),
+       # Five bisection levels at step 12.
+       ("bisecting-deep", hermitian_example(),
+        PathSpec(center=0.5j, radius=0.995, steps=16))])
 
 
 class TestBulkPass:
@@ -397,6 +433,44 @@ class TestTraceSheets:
         stepwise_trace(pencil, path)
         assert len(traced) == len(solved)
         assert all(map(np.array_equal, traced, solved))
+
+    def test_no_matrix_is_solved_twice(self, monkeypatch):
+        # Steps 12 and 13 of this loop are bisected four levels deep. The
+        # start, the 16 stacked nodes and the 8 midpoints are each solved
+        # once; a bisected step's ends keep the values already known.
+        solved = []
+
+        def recording(a):
+            solved.append(a.data)
+            return eigenvalues(a)
+
+        def recording_stack(stack):
+            solved.extend(stack)
+            return eigenvalues_stack(stack)
+
+        eigenvalues = exceptional.eigenvalues
+        eigenvalues_stack = exceptional._eigenvalues_stack
+        monkeypatch.setattr(exceptional, "find_exceptional_points",
+                            lambda pencil: [])
+        monkeypatch.setattr(exceptional, "eigenvalues", recording)
+        monkeypatch.setattr(exceptional, "_eigenvalues_stack",
+                            recording_stack)
+        trace_sheets(hermitian_example(),
+                     PathSpec(center=0.5j, radius=0.99, steps=16))
+        assert len(solved) == 1 + 16 + 8
+        distinct = {m.tobytes() for m in solved}
+        assert len(distinct) == len(solved)
+
+    def test_bisection_limit_names_the_requested_step(self, monkeypatch):
+        # The radius-0.99 loop needs four bisection levels at step 12.
+        monkeypatch.setattr(exceptional, "_MAX_BISECTIONS", 3)
+        with pytest.raises(SheetTrackingError) as info:
+            trace_sheets(hermitian_example(),
+                         PathSpec(center=0.5j, radius=0.99, steps=16))
+        assert info.value.step_index == 12
+        assert str(info.value) == (
+            "eigenvalue continuation failed at step 12: jump 1.549e-01 "
+            "exceeds half the sheet gap 1.990e-01 after 3 bisections")
 
     def test_unresolvable_step_raises_with_its_index(self):
         # Two sheets equal at every z: every step clashes, and after 8
