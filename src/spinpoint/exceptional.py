@@ -36,8 +36,7 @@ from ._schur import _eigenvalues_stack
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _det_lu,
                       _sort_eigenvalues, char_poly, eigenvalues,
                       frobenius_norm, rank)
-from .errors import (DimensionError, SheetTrackingError, SpinpointError,
-                     ZeroDiscriminantError)
+from .errors import DimensionError, SheetTrackingError, ZeroDiscriminantError
 
 __all__ = ["PencilFamily", "EPCandidate", "PathSpec", "MonodromyResult",
            "discriminant_poly", "find_exceptional_points", "trace_sheets"]
@@ -422,28 +421,21 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     """Continue the eigenvalues of H(z) around the loop and read off the
     sheet permutation.
 
-    The loop must stay farther than 1e-3 * radius from every exceptional
-    point (checked against find_exceptional_points when that succeeds,
-    otherwise unchecked). The start is ``eigenvalues(H(path.point(0)))``,
-    which fixes the sheet order; the other ``steps`` path nodes are solved
-    as one stack. One pass tests every step of the stack from the last
-    accepted node on and accepts the leading run that passes. A step whose
-    sheets clash or whose matched jump exceeds half the minimal sheet gap
-    gets its midpoint solved and inserted, which makes both halves one
-    bisection deeper, and the pass resumes; a step still failing after 8
-    bisections raises. Every node is solved once.
-    """
-    try:
-        eps = find_exceptional_points(pencil)
-    except SpinpointError:
-        eps = []
-    for cand in eps:
-        distance = abs(abs(cand.z - path.center) - path.radius)
-        if distance < 1e-3 * path.radius:
-            raise ValueError(
-                f"path passes within {distance:.3e} of the exceptional "
-                f"point at z = {cand.z:.6g}")
+    The start is ``eigenvalues(H(path.point(0)))``, which fixes the sheet
+    order; the other ``steps`` path nodes are solved as one stack. One
+    pass tests every step of the stack from the last accepted node on and
+    accepts the leading run that passes. A step whose sheets clash or
+    whose matched jump exceeds half the minimal sheet gap gets its
+    midpoint solved and inserted, which makes both halves one bisection
+    deeper, and the pass resumes. Every node is solved once.
 
+    This step test is the only refusal: a loop is traced however close it
+    passes to an exceptional point, as long as every step resolves. A
+    step still failing after 8 bisections raises ``SheetTrackingError``
+    with the index of the requested step; that is how a loop through an
+    exceptional point, or one too close to it for double precision, is
+    refused.
+    """
     # The start fixes the sheet labels, so it comes from eigenvalues()
     # itself: a stack row may differ from it in the last bit, and that can
     # swap two sheets of equal modulus. The other nodes are only matched.

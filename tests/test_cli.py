@@ -194,7 +194,8 @@ class TestPencilCommands:
         code, _, err = run("trace", "--a", a_path, "--b", b_path,
                            "--center", "0,0", "--radius", "0.5",
                            "--steps", "64")
-        assert code == 1
+        assert code == 2
+        assert err.startswith("sheet-tracking:")
 
 
 class TestFermi:

@@ -55,7 +55,7 @@ def stepwise_trace(pencil, path):
     """(permutation, trajectories, closure_error) from a loop that
     continues one requested step at a time and bisects a failing step
     recursively, with one scalar solve per midpoint and the known values
-    at both ends; no EP guard and no closure limit."""
+    at both ends; no closure limit."""
     steps = path.steps
 
     def continued(current, t_from, t_to, new_values, depth):
@@ -88,6 +88,38 @@ def numpy_gap(h):
     eigs = np.linalg.eigvals(h)
     dist = np.abs(eigs[:, None] - eigs[None, :])
     return dist[np.triu_indices(len(eigs), 1)].min()
+
+
+def permutation_sign(permutation):
+    """(-1)^(n - number of cycles) of a permutation given by its images."""
+    cycles, seen = 0, set()
+    for first in range(len(permutation)):
+        if first not in seen:
+            cycles += 1
+            k = first
+            while k not in seen:
+                seen.add(k)
+                k = permutation[k]
+    return (-1) ** (len(permutation) - cycles)
+
+
+def winding(result):
+    """Winding number of the discriminant prod_{i<j} (l_i - l_j)^2 around
+    a traced loop, read from its sheets.
+
+    Sums 2 arg(w[k+1] / w[k]) over every pair, w = l_i - l_j, along the
+    trajectories plus the closing step back to the permuted start. Every
+    per-step angle must be at most pi/2, so that the arguments unwrap
+    without ambiguity."""
+    rows = np.array(result.trajectories)
+    rows = np.vstack([rows, rows[0][list(result.permutation)]])
+    i, j = np.triu_indices(rows.shape[1], 1)
+    w = rows[:, i] - rows[:, j]
+    angles = np.angle(w[1:] / w[:-1])
+    assert np.abs(angles).max() <= np.pi / 2
+    turns = angles.sum() / np.pi
+    assert abs(turns - round(turns)) <= 1e-9
+    return round(turns)
 
 
 def normalized(coeffs):
@@ -358,6 +390,29 @@ class TestBulkPass:
                 result.closure_error) == stepwise_trace(pencil, path)
 
 
+# The winding of D around each BULK_CASES loop: the number of roots of D
+# inside it. Each EP of the 2x2 pencil is a simple root; +/- i are roots
+# of order n(n-1)/2 of the spin pencils' D.
+BULK_WINDINGS = {
+    **{f"rotated{seed}-{center}-x{turns}": count
+       for seed in (1, 2, 3)
+       for center, turns, count in ((0.5j, 1, 1), (0.5j, 2, 2),
+                                    (0.0, 1, 0))},
+    "spin2-1j": 3, "spin3-1j": 6, "spin6-1j": 21,
+    "spin2-1.0": 0, "spin3-1.0": 0, "spin6-1.0": 0,
+    "bisecting": 1, "bisecting-deep": 1}
+
+
+class TestWindingCertificate:
+    @pytest.mark.parametrize("name, pencil, path", BULK_CASES,
+                             ids=[case[0] for case in BULK_CASES])
+    def test_parity_matches_the_permutation(self, name, pencil, path):
+        result = trace_sheets(pencil, path)
+        count = winding(result)
+        assert count == BULK_WINDINGS[name]
+        assert (-1) ** count == permutation_sign(result.permutation)
+
+
 class TestTraceSheets:
     def test_loop_around_branch_point_swaps(self):
         path = PathSpec(center=0.5j, radius=0.1, steps=64)
@@ -425,11 +480,10 @@ class TestTraceSheets:
         bisections = sum(any(np.array_equal(m, mid) for mid in midpoints)
                          for m in solved)
         assert bisections >= 1
-        # The same scalar solves, in the same order, as the EP guard plus
-        # the step-at-a-time loop: no bisection skipped or repeated.
+        # The same scalar solves, in the same order, as the step-at-a-time
+        # loop: no bisection skipped or repeated.
         traced = solved[:]
         solved.clear()
-        find_exceptional_points(pencil)
         stepwise_trace(pencil, path)
         assert len(traced) == len(solved)
         assert all(map(np.array_equal, traced, solved))
@@ -450,8 +504,6 @@ class TestTraceSheets:
 
         eigenvalues = exceptional.eigenvalues
         eigenvalues_stack = exceptional._eigenvalues_stack
-        monkeypatch.setattr(exceptional, "find_exceptional_points",
-                            lambda pencil: [])
         monkeypatch.setattr(exceptional, "eigenvalues", recording)
         monkeypatch.setattr(exceptional, "_eigenvalues_stack",
                             recording_stack)
@@ -474,8 +526,7 @@ class TestTraceSheets:
 
     def test_unresolvable_step_raises_with_its_index(self):
         # Two sheets equal at every z: every step clashes, and after 8
-        # bisections the first step fails. D vanishes identically, so the
-        # EP guard is skipped.
+        # bisections the first step fails.
         pencil = PencilFamily(a=CMatrix.zeros(2), b=CMatrix.identity(2))
         with pytest.raises(SheetTrackingError) as info:
             trace_sheets(pencil, PathSpec(center=0.0, radius=1.0, steps=16))
@@ -483,9 +534,72 @@ class TestTraceSheets:
         assert "after 8 bisections" in str(info.value)
 
     def test_rejects_path_through_exceptional_point(self):
-        with pytest.raises(ValueError):
+        # Node 16 of 64 is z = i/2, where the two sheets meet: the step
+        # into it cannot be resolved by bisection.
+        with pytest.raises(SheetTrackingError) as info:
             trace_sheets(hermitian_example(),
                          PathSpec(center=0.0, radius=0.5, steps=64))
+        assert info.value.step_index == 16
+        assert "after 8 bisections" in str(info.value)
+
+    @pytest.mark.parametrize("center, radius, permutation", [
+        # About 0, the EPs +/- i/2 lie 1e-4 inside, then 1e-4 outside the
+        # loop; about i/2, the EP at -i/2 lies 1e-4 outside it.
+        (0.0, 0.5 + 1e-4, (0, 1)),
+        (0.0, 0.5 - 1e-4, (0, 1)),
+        (0.5j, 0.9999, (1, 0)),
+    ], ids=["0.5001-about-0", "0.4999-about-0", "0.9999-about-0.5j"])
+    def test_loop_passing_close_to_an_ep(self, center, radius, permutation):
+        result = trace_sheets(hermitian_example(),
+                              PathSpec(center=center, radius=radius,
+                                       steps=256))
+        assert result.permutation == permutation
+
+    def test_never_runs_the_locator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace_sheets ran the EP locator")
+
+        monkeypatch.setattr(exceptional, "find_exceptional_points", refuse)
+        result = trace_sheets(spin_pencil(6),
+                              PathSpec(center=1j, radius=0.1, steps=256))
+        assert result.permutation == (1, 0, 3, 2, 5, 4, 6)
+
+    def test_near_ep_sweep_traces_or_refuses(self):
+        # Loops that pass 1e-6 r to 3e-3 r from a located EP, inside or
+        # outside it, on random n = 2, 3 pencils. Each generic EP is a
+        # square-root branch point, so a traced loop's permutation has
+        # the sign (-1)^(EPs enclosed); an unresolvable step is refused
+        # with SheetTrackingError, and no other error may surface.
+        rng = np.random.default_rng(11)
+        outcomes = {"traced": 0, "refused": 0}
+        while sum(outcomes.values()) < 40:
+            n = int(rng.integers(2, 4))
+            a, b = random_complex(rng, n), random_complex(rng, n)
+            pencil = PencilFamily(a=CMatrix(a), b=CMatrix(b))
+            eps = np.array([c.z for c in find_exceptional_points(pencil)])
+            assert len(eps) == n * (n - 1)
+            k = int(rng.integers(len(eps)))
+            radius = rng.uniform(0.05, 0.3)
+            miss = 10 ** rng.uniform(-6, -2.5) * radius
+            side = rng.choice([-1.0, 1.0])
+            center = eps[k] + (radius + side * miss) * np.exp(
+                2j * np.pi * rng.random())
+            assert numpy_gap(a + eps[k] * b) <= 1e-6 * (
+                1.0 + np.linalg.norm(a) + abs(eps[k]) * np.linalg.norm(b))
+            others = np.delete(eps, k)
+            if (np.abs(np.abs(others - center) - radius)
+                    < 1e-2 * radius).any():
+                continue
+            enclosed = int((np.abs(eps - center) < radius).sum())
+            try:
+                result = trace_sheets(pencil, PathSpec(
+                    center=complex(center), radius=radius, steps=256))
+            except SheetTrackingError:
+                outcomes["refused"] += 1
+                continue
+            assert permutation_sign(result.permutation) == (-1) ** enclosed
+            outcomes["traced"] += 1
+        assert outcomes["traced"] and outcomes["refused"]
 
     def test_no_enclosure_identity_on_random_pencils(self, rng):
         done = 0
