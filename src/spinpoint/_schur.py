@@ -17,8 +17,12 @@ diagonal is meaningful. ``_eigenvalues_stack`` takes an ``(N, n, n)``
 stack and returns eigenvalues only: every matrix keeps its own active
 block, shift and step counts, and one sweep chases all of them in
 lockstep, so the interpreter overhead of a rotation is paid once per
-stack, not once per matrix. Both share the Hessenberg reduction and the
-deflation test.
+stack, not once per matrix. It chases the stack transposed to
+``(n, n, N)``, matrix index last: entry (i, j) of every matrix is one
+contiguous vector, and each rotation updates contiguous blocks in
+place. Before each sweep, every matrix deflates all the trailing
+entries that have become negligible in one step. Both loops share the
+Hessenberg reduction and the deflation test.
 
 Both loops first scale each matrix by the power of two that brings its
 largest real or imaginary entry into [0.5, 1), and scale the result
@@ -261,6 +265,14 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     sits in. Row and column updates are trimmed to that union: for
     eigenvalues alone, no entry outside the diagonal blocks is ever read.
 
+    After the Hessenberg reduction the stack is chased as one
+    ``(n, n, N)`` array, so a rotation's rows and columns are contiguous
+    length-N vectors, updated in place with c and s computed and
+    conjugated once. Deflation takes one step per sweep: a block's new
+    end is the last index at or below its old end whose subdiagonal
+    entry is not negligible, and its stall count restarts where the end
+    moved.
+
     Raises
     ------
     ConvergenceError
@@ -271,32 +283,35 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     count, n = a.shape[0], a.shape[-1]
     e = _binary_exponent(a)
     h, _ = hessenberg(_ldexp(a, -e[:, None, None]), want_q=False)
-    floor = _EPS * _norms(h.reshape(count, n * n))
+    floor = _EPS * _norms(h.reshape(count, n * n))[:, 0]
+    # Matrix index last: h[i, j] is entry (i, j) of every matrix.
+    h = np.ascontiguousarray(h.transpose(1, 2, 0))
     budget = SWEEP_BUDGET_PER_DIM * n
     every = np.arange(count)
     steps = np.zeros(count, dtype=int)
     stall = np.zeros(count, dtype=int)
     hi = np.full(count, n - 1)
-    index = np.arange(n)
+    index = np.arange(n)[:, None]
+    # Strided views of the diagonal and the subdiagonal, shape (n, N) and
+    # (n - 1, N).
+    diag = h.reshape(n * n, count)[::n + 1]
+    sub = h.reshape(n * n, count)[n::n + 1]
     while True:
         # Zero every negligible subdiagonal entry. Entry l stops the upward
         # walk from hi at lo = l, and l = 0 always stops it.
-        diag = np.diagonal(h, 0, 1, 2)
-        sub = np.diagonal(h, -1, 1, 2)
-        neg = _negligible(sub, diag[:, :-1], diag[:, 1:], floor)
-        h[:, index[1:], index[:-1]] = np.where(neg, 0.0, sub)
-        stops = np.concatenate([np.ones((count, 1), dtype=bool), neg], axis=1)
-        # Deflate until every unfinished matrix has a block to chase.
-        while True:
-            lo = np.where(stops & (index <= hi[:, None]), index, 0).max(axis=1)
-            deflating = (lo == hi) & (hi > 0)
-            if not deflating.any():
-                break
-            hi[deflating] -= 1
-            stall[deflating] = 0
+        neg = _negligible(sub, diag[:-1], diag[1:], floor)
+        sub[neg] = 0.0
+        stops = np.concatenate([np.ones((1, count), dtype=bool), neg])
+        # Deflate in one step: the block now ends at the last index at or
+        # below hi that does not stop the walk (0 if none), and starts at
+        # the last index at or below that which does.
+        new_hi = np.where(~stops & (index <= hi), index, 0).max(axis=0)
+        stall[new_hi != hi] = 0
+        hi = new_hi
+        lo = np.where(stops & (index <= hi), index, 0).max(axis=0)
         active = hi > 0
         if not active.any():
-            return _ldexp(np.diagonal(h, 0, 1, 2), e[:, None])
+            return _ldexp(diag.T, e[:, None])
         late = active & (steps >= budget)
         if late.any():
             raise _budget_error(budget, int(hi[late.argmax()]))
@@ -306,10 +321,10 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         last = np.maximum(hi, 1)
         mu = np.where(
             stall % _STALL_LIMIT == 0,
-            h[every, last, last] + 0.75 * abs(h[every, last, last - 1]),
-            _wilkinson_shift(h[every, last - 1, last - 1],
-                             h[every, last - 1, last],
-                             h[every, last, last - 1], h[every, last, last]))
+            h[last, last, every] + 0.75 * abs(h[last, last - 1, every]),
+            _wilkinson_shift(h[last - 1, last - 1, every],
+                             h[last - 1, last, every],
+                             h[last, last - 1, every], h[last, last, every]))
 
         first, stop = int(lo[active].min()), int(hi[active].max())
         # Row k - first: the matrices that rotate at k, and those whose
@@ -321,24 +336,30 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         for k in range(first, stop):
             starts = starting[k - first]
             # At k = 0 every rotating matrix starts; column -1 is unread.
-            x = np.where(starts, h[:, k, k] - mu, h[:, k, k - 1])
-            y = np.where(starts, h[:, k + 1, k], h[:, k + 1, k - 1])
+            x, y = h[k:k + 2, k - 1]
+            x = np.where(starts, h[k, k] - mu, x)
+            y = np.where(starts, h[k + 1, k], y)
             r = np.hypot(abs(x), abs(y))
             turn = rotating[k - first] & (r > 0.0)
             r = np.where(turn, r, 1.0)
-            c = np.where(turn, x / r, 1.0)[:, None]
-            s = np.where(turn, y / r, 0.0)[:, None]
+            c = np.where(turn, x / r, 1.0)
+            s = np.where(turn, y / r, 0.0)
+            cc, sc = c.conj(), s.conj()
             # Rows k, k + 1 times G = [[c*, s*], [-s, c]], then columns
             # k, k + 1 times G*.
             cols = slice(max(k - 1, first), stop + 1)
-            top, bottom = h[:, k, cols], h[:, k + 1, cols]
-            h[:, k, cols], h[:, k + 1, cols] = (
-                c.conj() * top + s.conj() * bottom, c * bottom - s * top)
+            top, bottom = h[k, cols], h[k + 1, cols]
+            upper = cc * top + sc * bottom
+            np.multiply(c, bottom, out=bottom)
+            bottom -= s * top
+            top[...] = upper
             if k > first:
                 # The chased bulge; the entry is already 0 in every matrix
                 # that does not chase one through k.
-                h[:, k + 1, k - 1] = 0.0
+                h[k + 1, k - 1] = 0.0
             rows = slice(first, min(k + 3, stop + 1))
-            left, right = h[:, rows, k], h[:, rows, k + 1]
-            h[:, rows, k], h[:, rows, k + 1] = (
-                left * c + right * s, right * c.conj() - left * s.conj())
+            left, right = h[rows, k], h[rows, k + 1]
+            column = left * c + right * s
+            np.multiply(right, cc, out=right)
+            right -= left * sc
+            left[...] = column

@@ -28,7 +28,7 @@ solved once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class PathSpec:
     sampled at steps+1 points. Negative turns reverse orientation.
 
     Raises ``ValueError`` for a non-finite center or radius, a radius
-    that is not positive, zero turns, or fewer than 16 steps."""
+    that is not positive, ``steps`` or ``turns`` that is not an integer
+    (Python or numpy), zero turns, or fewer than 16 steps."""
 
     center: complex
     radius: float
@@ -120,6 +121,9 @@ class PathSpec:
             raise ValueError("center and radius must be finite")
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
+        for name in ("steps", "turns"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.turns == 0:
             raise ValueError("turns must be nonzero")
         if self.steps < 16:
@@ -454,13 +458,17 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
         failed = np.flatnonzero(clash | far)
         accepted = failed[0] if len(failed) else len(nearest)
         # The sheet order of row done + i + 1 is nearest[i] gathered by that
-        # of row done + i; Python lists compose these few-entry gathers
-        # faster than numpy, and the rows are reordered at once.
-        orders = accumulate(nearest[:accepted].tolist(),
-                            lambda order, row: [row[k] for k in order],
-                            initial=list(range(pencil.size)))
-        rows = values[done:done + accepted + 1]
-        rows[:] = np.take_along_axis(rows, np.array(list(orders)), axis=1)
+        # of row done + i. Composing by doubling spans makes orders[i] the
+        # product of nearest[0..i], one gather per doubling; the rows are
+        # then reordered at once.
+        orders = nearest[:accepted]
+        span = 1
+        while span < accepted:
+            orders[span:] = np.take_along_axis(orders[span:], orders[:-span],
+                                               axis=1)
+            span *= 2
+        rows = values[done + 1:done + accepted + 1]
+        rows[:] = np.take_along_axis(rows, orders, axis=1)
         done += accepted
         if not len(failed):
             break

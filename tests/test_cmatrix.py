@@ -513,7 +513,7 @@ class TestEigenvalueStack:
 
     def test_rows_match_scalar_eigenvalues(self, rng):
         from spinpoint._schur import _eigenvalues_stack
-        for n in range(1, 9):
+        for n in [*range(1, 9), 12, 16, 26]:
             stack = self.mixed_stack(rng, n)
             got = _eigenvalues_stack(stack)
             assert got.shape == (len(stack), n)
@@ -526,7 +526,7 @@ class TestEigenvalueStack:
         # The cyclic shift needs exceptional shifts, so it keeps its active
         # block long after the random matrices beside it have deflated.
         from spinpoint._schur import _eigenvalues_stack
-        for n in range(2, 9):
+        for n in [*range(2, 9), 12, 16, 26]:
             a = random_complex(rng, n)
             shift = np.roll(np.eye(n), 1, axis=0)
             alone = _eigenvalues_stack(a[None])[0]

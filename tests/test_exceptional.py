@@ -636,3 +636,10 @@ class TestTraceSheets:
                 PathSpec(center=center, radius=radius, steps=64)
         with pytest.raises(ValueError, match="turns"):
             PathSpec(center=0.0, radius=1.0, steps=64, turns=0)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            PathSpec(center=0.0, radius=1.0, steps=16.5)
+        with pytest.raises(ValueError, match="turns must be an integer"):
+            PathSpec(center=0.0, radius=1.0, steps=64, turns=0.5)
+        path = PathSpec(center=0.0, radius=1.0, steps=np.int64(64),
+                        turns=np.int32(-2))
+        assert path.steps == 64 and path.turns == -2
