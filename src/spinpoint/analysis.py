@@ -11,8 +11,10 @@ misclassifies easy cases (powers of a contraction decay without the
 matrix being nilpotent; QR eigenvalues of a defective nilpotent matrix
 scatter far from zero). A verdict must also come with a rank chain that
 is a Jordan structure, which a small scaled identity, passing both
-tests, does not. The thresholds below were calibrated on the spin
-family up to dimension 26:
+tests, does not. The powers are formed into one stack, and the chain
+comes from one full-pivot elimination that reduces the whole stack in
+lockstep. The thresholds below were calibrated on the spin family up to
+dimension 26:
 
 * a power ``A^k`` counts as numerically zero once its Frobenius norm
   falls below ``1e-9`` times the largest norm seen along the power
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
-                      adjoint, commutator, eigenvalues, frobenius_norm, rank,
-                      schur)
+                      _full_pivot_eliminate, adjoint, commutator, eigenvalues,
+                      frobenius_norm, schur)
 from .errors import ConvergenceError, DimensionError
 
 __all__ = [
@@ -154,11 +156,14 @@ def nilpotency_report(a: CMatrix,
     Nilpotent iff every computed eigenvalue modulus lies below the
     defective-scatter threshold and some power k <= n is numerically
     zero relative to the power-sequence transient, and the rank chain
-    is a Jordan structure. The chain uses the full-pivot rank for the
-    genuine powers; the terminal zero power contributes rank 0. With
-    r_0 = n, its Weyr characteristic r_{k-1} - r_k (the number of Jordan
-    blocks of size >= k) must be >= 1 and nonincreasing; a scaled
-    identity, whose powers decay without vanishing, fails that.
+    is a Jordan structure. The genuine powers A^1 .. A^(index-1) are
+    written into one stack and ranked by one lockstep full-pivot
+    elimination, each power against its own threshold
+    ``tol.effective(A^k)``, the threshold ``rank`` would use; the
+    terminal zero power contributes rank 0. With r_0 = n, its Weyr
+    characteristic r_{k-1} - r_k (the number of Jordan blocks of size
+    >= k) must be >= 1 and nonincreasing; a scaled identity, whose
+    powers decay without vanishing, fails that.
     """
     a.require_square("nilpotency_report")
     n = a.rows
@@ -167,14 +172,13 @@ def nilpotency_report(a: CMatrix,
     if np.abs(eigenvalues(a)).max() > _eigenvalue_scatter_threshold(a):
         return not_nilpotent
 
-    powers = []
+    powers = np.empty((n, n, n), dtype=complex)
     current = np.eye(n, dtype=complex)
     running_max = frobenius_norm(a)
     index = None
     for k in range(1, n + 1):
-        current = current @ a.data
+        current = np.matmul(current, a.data, out=powers[k - 1])
         nrm = _frobenius(current)
-        powers.append(current)
         running_max = max(running_max, nrm)
         if nrm <= POWER_ZERO_RATIO * running_max:
             index = k
@@ -182,7 +186,9 @@ def nilpotency_report(a: CMatrix,
 
     if index is None:
         return not_nilpotent
-    chain = [rank(CMatrix(powers[k]), tol) for k in range(index - 1)] + [0]
+    genuine = powers[:index - 1]
+    chain = _full_pivot_eliminate(
+        genuine, [tol.effective(p) for p in genuine])[1] + [0]
     weyr = -np.diff([n] + chain)
     if weyr.min() < 1 or (np.diff(weyr) > 0).any():
         return not_nilpotent

@@ -8,10 +8,17 @@ surface as errors instead of silently propagating NaN/Inf.
 
 The heavy solvers follow fixed algorithm choices: eigenvalues and the
 Schur form come from Householder Hessenberg reduction plus implicit
-single-shift QR iteration (:mod:`spinpoint._schur`), numerical rank from
-Gaussian elimination with full pivoting, the characteristic polynomial
-from the Faddeev-LeVerrier recursion, and the exponential from scaling
-and squaring around a degree-13 Taylor core.
+single-shift QR iteration (:mod:`spinpoint._schur`), numerical rank and
+null spaces from one Gaussian elimination with full pivoting, the
+characteristic polynomial from the Faddeev-LeVerrier recursion, and the
+exponential from scaling and squaring around a degree-13 Taylor core.
+
+The elimination runs an ``(N, rows, cols)`` stack in lockstep, with one
+threshold per matrix; a matrix leaves the working stack at its first
+pivot at or below its threshold. ``rank`` and ``nullspace`` pass a stack
+of one, and callers that need many ranks at once (the rank chain of
+``nilpotency_report``, the geometric multiplicities of the EP locator)
+pass them all in one call.
 """
 
 from __future__ import annotations
@@ -271,49 +278,81 @@ def _det_lu(mat: np.ndarray) -> complex:
     return complex(out)
 
 
-def _full_pivot_eliminate(a: CMatrix, tol: Tolerance
-                          ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Gaussian elimination with full pivoting, stopped at the first pivot
-    at or below ``tol.effective(a)``.
+def _full_pivot_eliminate(a: np.ndarray, thresholds: list[float]
+                          ) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Gaussian elimination with full pivoting of an ``(N, rows, cols)``
+    stack, run in lockstep.
 
-    Returns the reduced matrix (upper triangular in its leading r x r
-    block), the rank r and the column permutation applied to reach it.
+    Matrix k stops at its first pivot at or below ``thresholds[k]`` and
+    leaves the working stack. A step takes the first entry of largest
+    modulus of each trailing block, in row-major order, swaps its row and
+    column into place and subtracts the broadcast product of the pivot
+    row and the multipliers from the rows below, so each matrix gets the
+    arithmetic it would get alone.
+
+    Returns the reduced matrices (each upper triangular in its leading
+    r x r block), the ranks r and the column permutations applied to
+    reach them.
     """
-    threshold = tol.effective(a)
-    m = np.array(a.data, dtype=complex)
-    rows, cols = m.shape
-    colperm = np.arange(cols)
-    r = 0
-    while r < min(rows, cols):
-        sub_abs = np.abs(m[r:, r:])
-        i, j = np.unravel_index(int(sub_abs.argmax()), sub_abs.shape)
-        if sub_abs[i, j] <= threshold:
-            break
-        m[[r, r + i]] = m[[r + i, r]]
-        m[:, [r, r + j]] = m[:, [r + j, r]]
-        colperm[[r, r + j]] = colperm[[r + j, r]]
-        m[r + 1:, r:] -= np.outer(m[r + 1:, r] / m[r, r], m[r, r:])
-        r += 1
-    return m, r, colperm
+    count, rows, cols = a.shape
+    # Row `rows` carries the column labels, so column swaps move them.
+    out = np.empty((count, rows + 1, cols), dtype=complex)
+    out[:, :rows] = a
+    out[:, rows] = np.arange(cols)
+    ranks = [min(rows, cols)] * count
+    limit = np.asarray(thresholds, dtype=float)
+    # live: the stack index of each working matrix; every: 0..len(live)-1.
+    live = every = np.arange(count)
+    work = out
+    for r in range(min(rows, cols)):
+        block = np.abs(work[:, r:rows, r:]).reshape(len(live),
+                                                    (rows - r) * (cols - r))
+        flat = block.argmax(axis=1)
+        small = block[every, flat] <= limit
+        if np.count_nonzero(small):
+            stopped = live[small]
+            for k in stopped.tolist():
+                ranks[k] = r
+            if len(stopped) == len(live):
+                break
+            out[stopped] = work[small]
+            keep = ~small
+            live, work, limit = live[keep], work[keep], limit[keep]
+            flat, every = flat[keep], every[:len(live)]
+        i, j = np.divmod(flat, cols - r)
+        tail = work[:, r:rows]
+        tail[every, i], tail[:, 0] = tail[:, 0], tail[every, i]
+        right = work[:, :, r:]
+        right[every, :, j], right[:, :, 0] = right[:, :, 0], right[every, :, j]
+        pivot = work[:, r, r:]
+        factor = work[:, r + 1:rows, r] / pivot[:, :1]
+        work[:, r + 1:rows, r:] -= factor[:, :, None] * pivot[:, None, :]
+    if work is not out:
+        out[live] = work
+    return out[:, :rows], ranks, out[:, rows].real.astype(np.intp)
 
 
 def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Numerical rank via Gaussian elimination with full pivoting.
+    """Numerical rank via Gaussian elimination with full pivoting, the
+    lockstep elimination run on a stack of one.
 
     Pivots at or below the effective threshold
     ``tol.absolute + tol.relative * n * ||A||_F`` count as zero.
     """
-    return _full_pivot_eliminate(a, tol)[1]
+    return _full_pivot_eliminate(a.data[None], [tol.effective(a)])[1][0]
 
 
 def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """Orthonormal-ish basis of the numerical null space.
 
-    Full-pivot elimination with column tracking; one normalized vector
-    per free column. The basis spans the null space but is not
-    orthogonalized (callers needing projections should orthonormalize).
+    The lockstep full-pivot elimination on a stack of one, with the
+    column permutation it returns; one normalized vector per free
+    column. The basis spans the null space but is not orthogonalized
+    (callers needing projections should orthonormalize).
     """
-    m, r, colperm = _full_pivot_eliminate(a, tol)
+    reduced, ranks, colperms = _full_pivot_eliminate(a.data[None],
+                                                     [tol.effective(a)])
+    m, r, colperm = reduced[0], ranks[0], colperms[0]
     cols = a.cols
     basis = []
     for free in range(r, cols):

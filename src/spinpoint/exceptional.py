@@ -34,8 +34,8 @@ import numpy as np
 
 from ._schur import _eigenvalues_stack
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _det_lu,
-                      _sort_eigenvalues, char_poly, eigenvalues,
-                      frobenius_norm, rank)
+                      _full_pivot_eliminate, _sort_eigenvalues, char_poly,
+                      eigenvalues, frobenius_norm)
 from .errors import DimensionError, SheetTrackingError, ZeroDiscriminantError
 
 __all__ = ["PencilFamily", "EPCandidate", "PathSpec", "MonodromyResult",
@@ -372,24 +372,30 @@ def find_exceptional_points(pencil: PencilFamily,
     roots = _companion_roots(coeffs)
     if len(roots) == 0:
         return []
-    candidates = []
     n = pencil.size
     norm_a = frobenius_norm(pencil.a)
     norm_b = frobenius_norm(pencil.b)
+    fields, shifted, thresholds = [], [], []
     for z, eigs, converged in _locate(pencil, coeffs, roots):
         e = _closest_pair_mean(eigs)
         gap = float(_min_gap(eigs))
         disc_residual = abs(complex(np.polyval(coeffs[::-1], z))) / disc_scale
         scale = 1.0 + norm_a + abs(z) * norm_b
-        shifted = CMatrix(pencil.at(z).data - e * np.eye(n))
-        geo_rank = rank(shifted, Tolerance(
-            absolute=max(tol.absolute, 10.0 * gap), relative=tol.relative))
         accepted = gap <= _GAP_CERTIFICATION * scale and \
             disc_residual <= _GAP_CERTIFICATION
-        candidates.append(EPCandidate(
+        fields.append(dict(
             z=z, degenerate_eigenvalue=e, gap=gap,
             discriminant_residual=disc_residual, newton_converged=converged,
-            geometric_multiplicity=n - geo_rank, accepted=accepted))
+            accepted=accepted))
+        matrix = CMatrix(pencil.at(z).data - e * np.eye(n))
+        shifted.append(matrix.data)
+        thresholds.append(Tolerance(
+            absolute=max(tol.absolute, 10.0 * gap),
+            relative=tol.relative).effective(matrix))
+    # The geometric ranks of H(z) - E, all candidates in one elimination.
+    ranks = _full_pivot_eliminate(np.array(shifted), thresholds)[1]
+    candidates = [EPCandidate(geometric_multiplicity=n - r, **f)
+                  for f, r in zip(fields, ranks)]
     candidates.sort(key=lambda c: (abs(c.z), np.angle(c.z)))
     return candidates
 

@@ -231,6 +231,114 @@ class TestNullspace:
             assert sp.rank(m) + len(sp.nullspace(m)) == m.cols
 
 
+def one_matrix_elimination(a, threshold):
+    """Reference: full-pivot elimination of one matrix, stopped at the
+    first pivot at or below ``threshold``; the loop the lockstep routine
+    must reproduce bit for bit."""
+    m = np.array(a, dtype=complex)
+    rows, cols = m.shape
+    colperm = np.arange(cols)
+    r = 0
+    while r < min(rows, cols):
+        sub_abs = np.abs(m[r:, r:])
+        i, j = np.unravel_index(int(sub_abs.argmax()), sub_abs.shape)
+        if sub_abs[i, j] <= threshold:
+            break
+        m[[r, r + i]] = m[[r + i, r]]
+        m[:, [r, r + j]] = m[:, [r + j, r]]
+        colperm[[r, r + j]] = colperm[[r + j, r]]
+        m[r + 1:, r:] -= np.outer(m[r + 1:, r] / m[r, r], m[r, r:])
+        r += 1
+    return m, r, colperm
+
+
+def bit_pattern(x):
+    """Entries as uint64 words, so that signed zeros and NaN payloads
+    count."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestFullPivotStack:
+    """The lockstep full-pivot elimination against the one-matrix loop."""
+
+    @staticmethod
+    def assert_matches_reference(stack, thresholds):
+        from spinpoint.cmatrix import _full_pivot_eliminate
+        reduced, ranks, colperms = _full_pivot_eliminate(stack, thresholds)
+        assert reduced.shape == stack.shape
+        assert len(ranks) == len(colperms) == len(stack)
+        for k, (a, threshold) in enumerate(zip(stack, thresholds)):
+            m, r, colperm = one_matrix_elimination(a, threshold)
+            assert ranks[k] == r, f"matrix {k}"
+            assert np.array_equal(bit_pattern(reduced[k]), bit_pattern(m)), \
+                f"matrix {k}"
+            assert np.array_equal(colperms[k], colperm), f"matrix {k}"
+        return ranks
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_spin_power_stacks(self, axis):
+        from spinpoint import Spin, nonnormal_hamiltonian
+        tol = sp.DEFAULT_TOLERANCE
+        for twice in range(1, 26):
+            h = nonnormal_hamiltonian(Spin(twice), axis, 1j).data
+            n = twice + 1
+            powers = [h]
+            for _ in range(n - 2):
+                powers.append(powers[-1] @ h)
+            stack = np.array(powers)
+            ranks = self.assert_matches_reference(
+                stack, [tol.effective(p) for p in stack])
+            assert ranks == list(range(n - 1, 0, -1)), f"2s={twice}"
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (4, 4), (6, 3), (3, 6),
+                                           (7, 5), (2, 8)])
+    def test_random_stacks_of_mixed_rank(self, rng, rows, cols):
+        tol = sp.DEFAULT_TOLERANCE
+        made = [r for r in range(min(rows, cols) + 1) for _ in range(2)]
+        stack = np.array([random_complex(rng, rows, r)
+                          @ random_complex(rng, r, cols) for r in made])
+        stack[-1] *= 1e-9
+        ranks = self.assert_matches_reference(
+            stack, [tol.effective(a) for a in stack])
+        assert ranks == made
+
+    def test_thresholds_stop_matrices_at_different_steps(self, rng):
+        # One matrix with singular values 1 .. 1e-9, once per threshold: each
+        # copy stops at its own step, and the copies that stop early must
+        # not be reduced further while the others go on.
+        u, v = random_unitary(rng, 5).data, random_unitary(rng, 5).data
+        a = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-9]) @ v
+        thresholds = [1e-12, 1e-8, 1e-5, 1e-3, 1e-1, 10.0]
+        stack = np.array([a] * len(thresholds))
+        ranks = self.assert_matches_reference(stack, thresholds)
+        assert ranks == [5, 4, 3, 2, 1, 0]
+        ranks = self.assert_matches_reference(stack[::-1].copy(),
+                                              thresholds[::-1])
+        assert ranks == [0, 1, 2, 3, 4, 5]
+
+    def test_stack_of_one(self, rng):
+        for a in (np.zeros((1, 1)), np.ones((1, 1)), np.eye(3, k=1),
+                  random_complex(rng, 2, 5), random_complex(rng, 5, 2),
+                  random_complex(rng, 4, 2) @ random_complex(rng, 2, 4)):
+            threshold = sp.DEFAULT_TOLERANCE.effective(a)
+            [r] = self.assert_matches_reference(
+                np.array(a, dtype=complex)[None], [threshold])
+            assert sp.rank(CMatrix(a)) == r
+            assert len(sp.nullspace(CMatrix(a))) == a.shape[1] - r
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+           st.integers(0, 2 ** 31 - 1))
+    def test_low_rank_products(self, rows, cols, count, seed):
+        rng = np.random.default_rng(seed)
+        made = rng.integers(0, min(rows, cols) + 1, size=count)
+        stack = np.array([random_complex(rng, rows, r)
+                          @ random_complex(rng, r, cols) for r in made])
+        scales = 10.0 ** rng.uniform(-12, 1, size=count)
+        thresholds = [s * np.linalg.norm(a) for s, a in zip(scales, stack)]
+        self.assert_matches_reference(stack, thresholds)
+
+
 class TestCharPoly:
     def test_avoided_crossing_family(self):
         for eps in (0.3, 1.0, 2.5):
