@@ -11,10 +11,18 @@ misclassifies easy cases (powers of a contraction decay without the
 matrix being nilpotent; QR eigenvalues of a defective nilpotent matrix
 scatter far from zero). A verdict must also come with a rank chain that
 is a Jordan structure, which a small scaled identity, passing both
-tests, does not. The powers are formed into one stack, and the chain
-comes from one full-pivot elimination that reduces the whole stack in
-lockstep. The thresholds below were calibrated on the spin family up to
-dimension 26:
+tests, does not. The powers are formed first, of A scaled by the exact
+power of two that brings its largest entry into [0.5, 1), so they
+neither overflow nor underflow; the chain comes from one full-pivot
+elimination that reduces the whole stack in lockstep. The eigenvalue
+test rarely needs eigenvalues: the same powers prove an upper bound on
+the spectral radius, since rho(A) <= ||A^k||_F^(1/k) for every k
+(Horn and Johnson, *Matrix Analysis*, 5.6.9), with the rounding of each
+computed product bounded as in Higham, *Accuracy and Stability of
+Numerical Algorithms*, sections 3.5-3.6. When that bound is under the
+threshold the test passes with no QR solve; otherwise the computed
+eigenvalues decide. The thresholds below were calibrated on the spin
+family up to dimension 26:
 
 * a power ``A^k`` counts as numerically zero once its Frobenius norm
   falls below ``1e-9`` times the largest norm seen along the power
@@ -23,7 +31,8 @@ dimension 26:
 * eigenvalue moduli are compared against
   ``(1 + ||A||_F) * max(1e-6, 4 * eps**(1/n))`` because backward-stable
   eigensolvers scatter the zero eigenvalue of a defective matrix as
-  roundoff**(1/n) (measured: 1.6e-4 at n = 4, 2.6 at n = 26).
+  roundoff**(1/n) (measured: 1.6e-4 at n = 4, 2.6 at n = 26). The
+  power bound of a spin matrix stays under half of it for 2s = 1..25.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schur import _binary_exponent, _ldexp
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
                       _full_pivot_eliminate, adjoint, commutator, eigenvalues,
                       frobenius_norm, schur)
@@ -44,6 +54,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 
 # Ratio of a power's norm to the running transient maximum below which
 # the power counts as the zero matrix.
@@ -149,48 +160,101 @@ def _eigenvalue_scatter_threshold(a: CMatrix) -> float:
     return (1.0 + frobenius_norm(a)) * max(1e-6, scatter)
 
 
+def _scaled_powers(a: CMatrix
+                   ) -> tuple[int, np.ndarray, list[float], int | None]:
+    """Powers of B = 2**-e A, e from ``_binary_exponent``, up to the
+    first that is numerically zero.
+
+    Returns e, the stack of computed powers P_k = fl(P_(k-1) B), their
+    Frobenius norms and the index k of the zero power (None when none
+    of P_1 .. P_n is zero). Since A^k = 2**(e k) B^k exactly, the ratio
+    test runs in the scaled domain, with the running maximum scaled by
+    2**-e at each step; every result clear of overflow and underflow is
+    the one the powers of A would give.
+    """
+    n = a.rows
+    e = int(_binary_exponent(a.data))
+    b = _ldexp(a.data, -e)
+    powers = np.empty((n, n, n), dtype=complex)
+    current = np.eye(n, dtype=complex)
+    running_max = 0.0
+    norms = []
+    # A running maximum that overflows is infinite: every later power
+    # counts as zero, as the powers of A would underflow to zero.
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            current = np.matmul(current, b, out=powers[k - 1])
+            nrm = _frobenius(current)
+            norms.append(nrm)
+            running_max = max(float(np.ldexp(running_max, -e)), nrm)
+            if nrm <= POWER_ZERO_RATIO * running_max:
+                return e, powers, norms, k
+    return e, powers, norms, None
+
+
+def _radius_bound(e: int, norms: list[float], n: int) -> float:
+    """A proven upper bound on the spectral radius of A = 2**e B from the
+    Frobenius norms of the computed powers P_k of ``_scaled_powers``.
+
+    rho(B) <= ||B^k||_F^(1/k) <= (||P_k||_F + err_k)^(1/k) for every k,
+    where err_k bounds ||P_k - B^k||_F: err_1 = 0 and
+    err_k = ||B||_F (err_(k-1) + gamma ||P_(k-1)||_F), with
+    gamma = 2 (n + 2) eps covering a complex matrix product. Each computed
+    norm is raised by a bound on its own rounding, and each product, the
+    scaling to B included, adds an absolute term for gradual underflow.
+    """
+    gamma = 2 * (n + 2) * _EPS
+    up = 1.0 + 2 * n * n * _EPS
+    under = 8 * n * n * _TINY
+    size = norms[0] * up + under
+    err, previous, best = under, norms[0] * up, size
+    for k, nrm in enumerate(norms[1:], 2):
+        err = size * (err + gamma * previous) + under * (1.0 + previous)
+        previous = nrm * up
+        best = min(best, (previous + err) ** (1.0 / k))
+    # Slack for the rounding of 1/k and of the root.
+    return float(np.ldexp(best * (1.0 + 1024 * _EPS), e))
+
+
 def nilpotency_report(a: CMatrix,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> NilpotencyReport:
     """Decide nilpotency and report the rank chain of the powers.
 
-    Nilpotent iff every computed eigenvalue modulus lies below the
-    defective-scatter threshold and some power k <= n is numerically
-    zero relative to the power-sequence transient, and the rank chain
-    is a Jordan structure. The genuine powers A^1 .. A^(index-1) are
-    written into one stack and ranked by one lockstep full-pivot
-    elimination, each power against its own threshold
-    ``tol.effective(A^k)``, the threshold ``rank`` would use; the
+    Nilpotent iff some power k <= n is numerically zero relative to the
+    power-sequence transient, the rank chain is a Jordan structure, and
+    every eigenvalue modulus lies below the defective-scatter threshold.
+    The powers are those of ``_scaled_powers``; a matrix none of whose
+    powers vanishes is rejected before any eigen-solve. The genuine
+    powers B^1 .. B^(index-1) are ranked by one lockstep full-pivot
+    elimination, each against ``tol.effective(A^k)`` scaled by
+    2**(-e k), that is ``ldexp(tol.absolute, -e k) + tol.relative * n *
+    ||B^k||_F``: the ranks ``rank`` would give the powers of A. The
     terminal zero power contributes rank 0. With r_0 = n, its Weyr
     characteristic r_{k-1} - r_k (the number of Jordan blocks of size
     >= k) must be >= 1 and nonincreasing; a scaled identity, whose
-    powers decay without vanishing, fails that.
+    powers decay without vanishing, fails that. The eigenvalue test
+    passes without a QR solve when ``_radius_bound``, a proof that
+    rho(A) lies below it, is under the threshold; only otherwise are
+    the computed eigenvalues compared against it.
     """
     a.require_square("nilpotency_report")
     n = a.rows
     not_nilpotent = NilpotencyReport(is_nilpotent=False, index=None,
                                      rank_chain=())
-    if np.abs(eigenvalues(a)).max() > _eigenvalue_scatter_threshold(a):
-        return not_nilpotent
-
-    powers = np.empty((n, n, n), dtype=complex)
-    current = np.eye(n, dtype=complex)
-    running_max = frobenius_norm(a)
-    index = None
-    for k in range(1, n + 1):
-        current = np.matmul(current, a.data, out=powers[k - 1])
-        nrm = _frobenius(current)
-        running_max = max(running_max, nrm)
-        if nrm <= POWER_ZERO_RATIO * running_max:
-            index = k
-            break
-
+    e, powers, norms, index = _scaled_powers(a)
     if index is None:
         return not_nilpotent
-    genuine = powers[:index - 1]
-    chain = _full_pivot_eliminate(
-        genuine, [tol.effective(p) for p in genuine])[1] + [0]
+    # A threshold that overflows is infinite: every pivot counts as zero.
+    with np.errstate(over="ignore"):
+        thresholds = [np.ldexp(tol.absolute, -e * k) + tol.relative * n * nrm
+                      for k, nrm in enumerate(norms[:index - 1], 1)]
+    chain = _full_pivot_eliminate(powers[:index - 1], thresholds)[1] + [0]
     weyr = -np.diff([n] + chain)
     if weyr.min() < 1 or (np.diff(weyr) > 0).any():
+        return not_nilpotent
+    threshold = _eigenvalue_scatter_threshold(a)
+    if (_radius_bound(e, norms, n) > threshold
+            and np.abs(eigenvalues(a)).max() > threshold):
         return not_nilpotent
     return NilpotencyReport(is_nilpotent=True, index=index,
                             rank_chain=tuple(chain))

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinpoint as sp
 from spinpoint import CMatrix, Spin
+from spinpoint.analysis import (POWER_ZERO_RATIO, _eigenvalue_scatter_threshold,
+                                _radius_bound, _scaled_powers)
+from spinpoint.cmatrix import _frobenius, _full_pivot_eliminate
 
 from conftest import SIGMA1, SIGMA3, paired_spectra, random_cmatrix, \
-    random_hermitian, random_unitary
+    random_complex, random_hermitian, random_unitary
 
 
 def spin_hamiltonian(twice, axis=1):
@@ -223,6 +227,158 @@ class TestNilpotency:
         assert report.is_nilpotent
         assert report.index == 4
         assert report.rank_chain == (3, 2, 1, 0)
+
+
+def gate_first_oracle(a, tol=sp.DEFAULT_TOLERANCE):
+    """Independent check: the nilpotency decision made the way it was
+    before the power bound. The computed eigenvalues gate first, then the
+    powers of A itself, unscaled, each ranked against tol.effective(A^k).
+    Returns (is_nilpotent, index, rank_chain)."""
+    n = a.rows
+    if np.abs(sp.eigenvalues(a)).max() > _eigenvalue_scatter_threshold(a):
+        return False, None, ()
+    powers = np.empty((n, n, n), dtype=complex)
+    current = np.eye(n, dtype=complex)
+    running_max = sp.frobenius_norm(a)
+    for k in range(1, n + 1):
+        current = np.matmul(current, a.data, out=powers[k - 1])
+        nrm = _frobenius(current)
+        running_max = max(running_max, nrm)
+        if nrm <= POWER_ZERO_RATIO * running_max:
+            genuine = powers[:k - 1]
+            chain = _full_pivot_eliminate(
+                genuine, [tol.effective(p) for p in genuine])[1] + [0]
+            weyr = -np.diff([n] + chain)
+            if weyr.min() < 1 or (np.diff(weyr) > 0).any():
+                return False, None, ()
+            return True, k, tuple(chain)
+    return False, None, ()
+
+
+def oracle_cases():
+    """Seeded inputs on both sides of every stage of the decision."""
+    cases = [spin_hamiltonian(twice, axis).data
+             for axis in (1, 2) for twice in range(1, 26)]
+    for n in (1, 2, 3, 4, 6, 8):
+        for c in [*10.0 ** np.arange(-7, 4), 1e-300, 1e-320]:
+            cases += [c * np.eye(n, k=1), c * np.eye(n)]
+    for d in np.logspace(-14, -6, 17):
+        a = np.eye(4, k=1)
+        a[3, 0] = d
+        cases.append(a)
+    for n in (2, 4, 5, 8, 12):
+        for c in (1e-9, 1e-6, 1e-3, 0.05, 0.1, 1.0):
+            cases.append(np.eye(n, k=1) + c * np.eye(n))
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        # Jordan blocks split where the superdiagonal is cut.
+        j = np.eye(n, k=1)
+        cuts = rng.choice(np.arange(1, n), rng.integers(0, n - 1),
+                          replace=False)
+        j[cuts - 1, cuts] = 0.0
+        s = random_unitary(rng, n).data
+        u = random_complex(rng, n) + 3.0 * np.eye(n)
+        for delta in (0.0, 1e-12, 1e-9, 1e-6):
+            noise = delta * random_complex(rng, n)
+            cases.append(s @ j @ s.conj().T + noise)
+            cases.append(u @ j @ np.linalg.inv(u) + noise)
+    return [CMatrix(a) for a in cases]
+
+
+def rank_one_nilpotent(rng, n):
+    """x y^T with y^T x = 0 up to rounding."""
+    x, z = random_complex(rng, 2, n)
+    return np.outer(x, z - x * ((x @ z) / (x @ x)))
+
+
+class TestNilpotencyCertificate:
+    def test_same_decision_as_gate_first_oracle(self):
+        cases = oracle_cases()
+        got = [sp.nilpotency_report(a) for a in cases]
+        got = [(r.is_nilpotent, r.index, r.rank_chain) for r in got]
+        assert got == [gate_first_oracle(a) for a in cases]
+        # Both verdicts occur.
+        assert 0 < sum(verdict for verdict, _, _ in got) < len(got)
+
+    @pytest.mark.parametrize("c", [1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_huge_jordan_block(self, n, c):
+        # The powers are formed of A scaled to entries below 1, so none
+        # overflows (pytest turns a RuntimeWarning into an error).
+        report = sp.nilpotency_report(CMatrix(c * np.eye(n, k=1)))
+        assert report.is_nilpotent
+        assert report.index == n
+        assert report.rank_chain == tuple(range(n - 1, -1, -1))
+
+    def test_spin_family_needs_no_eigenvalues(self, rng, monkeypatch):
+        def no_eigenvalues(*args, **kwargs):
+            raise AssertionError("eigenvalues called")
+
+        monkeypatch.setattr("spinpoint.analysis.eigenvalues", no_eigenvalues)
+        for axis in (1, 2):
+            for twice in range(1, 26):
+                report = sp.nilpotency_report(spin_hamiltonian(twice, axis))
+                n = twice + 1
+                assert report.is_nilpotent
+                assert report.index == n
+                assert report.rank_chain == tuple(range(n - 1, -1, -1))
+        # No power of a random matrix vanishes: rejected before the gate.
+        assert not sp.nilpotency_report(random_cmatrix(rng, 5)).is_nilpotent
+
+    def test_bound_covers_rounding_of_rank_one_squares(self):
+        # The computed square of x y^T is often far below the true one,
+        # so only the rounding term of the bound covers rho(A).
+        rng = np.random.default_rng(11)
+        for n in range(2, 7):
+            for _ in range(40):
+                a = rank_one_nilpotent(rng, n)
+                e, _, norms, _ = _scaled_powers(CMatrix(a))
+                assert (_radius_bound(e, norms, n)
+                        >= np.abs(np.linalg.eigvals(a)).max())
+
+    def test_bound_covers_entries_lost_to_scaling(self):
+        # The scaled matrix [[0, 1/2], [0, 0]] loses the subnormal entry
+        # and is nilpotent; A is not: rho(A) = 2**-537.
+        a = np.array([[0.0, 1.0], [2.0 ** -1074, 0.0]])
+        e, _, norms, index = _scaled_powers(CMatrix(a))
+        assert index == 2 and norms[1] == 0.0
+        assert _radius_bound(e, norms, 2) >= 2.0 ** -537
+
+    def test_bound_over_threshold_falls_back(self, monkeypatch):
+        # J_4 + d e_4 e_1^T at d = 5e-12: the bound, 1.78e-3, is over the
+        # threshold, 1.33e-3, so the computed eigenvalues decide.
+        a = TestNilpotency.perturbed_jordan(5e-12)
+        e, _, norms, _ = _scaled_powers(a)
+        assert _radius_bound(e, norms, 4) > _eigenvalue_scatter_threshold(a)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return sp.eigenvalues(m)
+
+        monkeypatch.setattr("spinpoint.analysis.eigenvalues", counted)
+        assert not sp.nilpotency_report(a).is_nilpotent
+        assert calls == [a]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.sampled_from(["random", "similar", "rank_one"]),
+           st.one_of(st.just(0), st.integers(-150, 150)),
+           st.integers(0, 2 ** 31 - 1))
+    def test_bound_is_above_spectral_radius(self, n, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            a = random_complex(rng, n)
+        elif kind == "similar":
+            # A perturbed Jordan block under a non-unitary similarity.
+            u = random_complex(rng, n) + 3.0 * np.eye(n)
+            a = u @ np.eye(n, k=1) @ np.linalg.inv(u)
+            a = a + 10.0 ** rng.uniform(-16, -2) * random_complex(rng, n)
+        else:
+            a = rank_one_nilpotent(rng, n)
+        a = 10.0 ** exponent * a
+        e, _, norms, _ = _scaled_powers(CMatrix(a))
+        assert _radius_bound(e, norms, n) >= np.abs(np.linalg.eigvals(a)).max()
 
 
 class TestClosureProperties:
