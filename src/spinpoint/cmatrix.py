@@ -10,15 +10,28 @@ The heavy solvers follow fixed algorithm choices: eigenvalues and the
 Schur form come from Householder Hessenberg reduction plus implicit
 single-shift QR iteration (:mod:`spinpoint._schur`), numerical rank and
 null spaces from one Gaussian elimination with full pivoting, the
+determinant from LU elimination with partial pivoting, the
 characteristic polynomial from the Faddeev-LeVerrier recursion, and the
 exponential from scaling and squaring around a degree-13 Taylor core.
 
-The elimination runs an ``(N, rows, cols)`` stack in lockstep, with one
-threshold per matrix; a matrix leaves the working stack at its first
-pivot at or below its threshold. ``rank`` and ``nullspace`` pass a stack
-of one, and callers that need many ranks at once (the rank chain of
-``nilpotency_report``, the geometric multiplicities of the EP locator)
-pass them all in one call.
+The two eliminations and the recursion each run a stack of matrices in
+lockstep, each matrix getting the arithmetic it would get alone, bit for
+bit:
+
+- The full-pivot elimination takes one threshold per matrix; a matrix
+  leaves the working stack at its first pivot at or below its
+  threshold. ``rank`` and ``nullspace`` pass a stack of one, and callers
+  that need many ranks at once (the rank chain of ``nilpotency_report``,
+  the geometric multiplicities of the EP locator) pass them all in one
+  call.
+- The partially pivoted LU behind ``det`` drops a matrix from the
+  working stack at its first exactly zero pivot column (det 0). Each
+  determinant is the product of its pivots formed on scalars, in
+  elimination order.
+- The Faddeev-LeVerrier recursion behind ``char_poly``.
+
+``det`` and ``char_poly`` pass a stack of one; the EP locator passes the
+matrices at all its discriminant sample nodes in one call.
 """
 
 from __future__ import annotations
@@ -257,25 +270,59 @@ def trace(a: CMatrix) -> complex:
 
 
 def det(a: CMatrix) -> complex:
-    """Determinant via LU elimination with partial pivoting."""
+    """Determinant via LU elimination with partial pivoting, the lockstep
+    LU run on a stack of one."""
     a.require_square("det")
-    return _det_lu(a.data)
+    return complex(_det_lu(a.data[None])[0])
 
 
-def _det_lu(mat: np.ndarray) -> complex:
-    m = np.array(mat, dtype=complex)
-    n = m.shape[0]
-    out = 1.0 + 0.0j
-    for k in range(n):
-        p = int(np.abs(m[k:, k]).argmax()) + k
-        if m[p, k] == 0.0:
-            return 0.0 + 0.0j
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            out = -out
-        out *= m[k, k]
-        m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
-    return complex(out)
+def _det_lu(a: np.ndarray) -> np.ndarray:
+    """Determinants of an ``(N, m, m)`` stack by LU elimination with
+    partial pivoting, run in lockstep.
+
+    A step takes the first entry of largest modulus in each matrix's
+    pivot column, swaps its row into place and subtracts the broadcast
+    product of the multipliers and the pivot row from the rows below, so
+    each matrix gets the arithmetic it would get alone. A matrix whose
+    pivot column is exactly zero has det 0 and leaves the working stack
+    before its pivot divides anything. The product of each matrix's
+    pivots, negated at each row swap, is formed on numpy scalars in
+    elimination order: a vectorised complex multiply can round it
+    differently in the last bit.
+    """
+    count, m = a.shape[0], a.shape[-1]
+    pivots = np.empty((count, m), dtype=complex)
+    swapped = np.zeros((count, m), dtype=bool)
+    # live: the stack index of each working matrix; every: 0..len(live)-1.
+    live = every = np.arange(count)
+    work = np.array(a, dtype=complex)
+    for k in range(m):
+        column = np.abs(work[:, k:, k])
+        p = column.argmax(axis=1)
+        zero = column[every, p] == 0.0
+        if np.count_nonzero(zero):
+            keep = ~zero
+            live, work, p = live[keep], work[keep], p[keep]
+            every = every[:len(live)]
+            if not len(live):
+                break
+        p += k
+        swapped[live, k] = p != k
+        row = work[every, p, k:]
+        work[every, p, k:] = work[:, k, k:]
+        work[:, k, k:] = row
+        pivots[live, k] = row[:, 0]
+        factor = work[:, k + 1:, k] / row[:, :1]
+        work[:, k + 1:, k:] -= factor[:, :, None] * row[:, None, :]
+    out = np.zeros(count, dtype=complex)
+    for i in live.tolist():
+        product = 1.0 + 0.0j
+        for pivot, flip in zip(pivots[i], swapped[i].tolist()):
+            if flip:
+                product = -product
+            product *= pivot
+        out[i] = product
+    return out
 
 
 def _full_pivot_eliminate(a: np.ndarray, thresholds: list[float]
@@ -459,16 +506,23 @@ def _factorial(k: int) -> float:
 def char_poly(a: CMatrix) -> np.ndarray:
     """Coefficients of det(A - E I) ordered from E^0 to E^n.
 
-    Faddeev-LeVerrier recursion; the leading coefficient is (-1)^n.
+    Faddeev-LeVerrier recursion, the lockstep recursion run on a stack
+    of one; the leading coefficient is (-1)^n.
     """
     a.require_square("char_poly")
-    n = a.rows
-    mat = a.data
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    aux = np.zeros_like(mat)
+    return _char_poly(a.data[None])[0]
+
+
+def _char_poly(a: np.ndarray) -> np.ndarray:
+    """``char_poly`` of each matrix of an ``(N, n, n)`` stack, one row of
+    coefficients per matrix, by the Faddeev-LeVerrier recursion run in
+    lockstep. Each row is the one its matrix gets alone."""
+    count, n = a.shape[0], a.shape[-1]
+    coeffs = np.zeros((count, n + 1), dtype=complex)
+    coeffs[:, n] = 1.0
+    aux = np.zeros_like(a, dtype=complex)
     eye = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        aux = mat @ aux + coeffs[n - k + 1] * eye
-        coeffs[n - k] = -np.trace(mat @ aux) / k
+        aux = a @ aux + coeffs[:, n - k + 1, None, None] * eye
+        coeffs[:, n - k] = -np.trace(a @ aux, axis1=-2, axis2=-1) / k
     return coeffs * (-1.0) ** n

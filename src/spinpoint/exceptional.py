@@ -4,25 +4,32 @@ The discriminant D(z) -- the resultant in E of the characteristic
 polynomial and its E-derivative -- is sampled on a circle via Sylvester
 determinants, its coefficients recovered by the discrete Fourier
 relations, and its roots taken as companion-matrix eigenvalues. The
-roots are split into one group per EP by the eigenvalue gap of H(z): a
-group is one EP when H at the group's centroid is no farther from
-degenerate than at any member, and the members sit on a circle around
-the centroid. A multiple root of D scatters its companion roots on such
-a circle, but their centroid is well conditioned (Kravanja and Van
-Barel, LNM 1727), so a group reports its centroid; a single root is
-polished by Newton iteration on D, with D(z) taken from the eigenvalues
-of H(z). Every candidate is certified by the eigenvalue gap at the
-reported parameter.
+samples are built in one pass: H at every circle node forms one stack,
+whose characteristic polynomials, Sylvester matrices and determinants
+each come from one lockstep call. The roots are split into one group per
+EP by the eigenvalue gap of H(z): a group is one EP when H at the
+group's centroid is no farther from degenerate than at any member, and
+the members sit on a circle around the centroid. A multiple root of D
+scatters its companion roots on such a circle, but their centroid is
+well conditioned (Kravanja and Van Barel, LNM 1727), so a group reports
+its centroid; a single root is polished by Newton iteration on D, with
+D(z) taken from the eigenvalues of H(z). Every candidate is certified by
+the eigenvalue gap at the reported parameter.
+
+The spectra at the companion roots are solved one root at a time by the
+scalar chase of ``eigenvalues``. A sweep of the lockstep QR loop costs
+about the same whatever the stack size, and the roots are few (n(n-1))
+and close to defective, where the QR iteration runs long: for so few
+matrices the scalar chase is cheaper.
 
 Sheet structure around a point is probed by walking eigenvalues along a
 closed loop, continuing each sheet to its nearest new eigenvalue, and
 bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
-it induces. The spectra at the path nodes after the start, like those at
-the companion roots of D, are solved as one stack by the lockstep QR
-loop. Array passes over the loop's node stack test every step; a step
-that fails gets its midpoint solved alone and inserted, so every node is
-solved once.
+it induces. The spectra at the path nodes after the start, hundreds of
+them, are solved as one stack by the lockstep QR loop. Array passes over
+the loop's node stack test every step; a step that fails gets its
+midpoint solved alone and inserted, so every node is solved once.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ from numbers import Integral
 import numpy as np
 
 from ._schur import _eigenvalues_stack
-from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _det_lu,
-                      _full_pivot_eliminate, _sort_eigenvalues, char_poly,
+from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _char_poly,
+                      _det_lu, _full_pivot_eliminate, _sort_eigenvalues,
                       eigenvalues, frobenius_norm)
-from .errors import DimensionError, SheetTrackingError, ZeroDiscriminantError
+from .errors import (DimensionError, NonFiniteError, SheetTrackingError,
+                     ZeroDiscriminantError)
 
 __all__ = ["PencilFamily", "EPCandidate", "PathSpec", "MonodromyResult",
            "discriminant_poly", "find_exceptional_points", "trace_sheets"]
@@ -155,20 +163,26 @@ class MonodromyResult:
 
 
 def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sylvester matrix of polynomials p, q given low-to-high."""
-    m, l = len(p) - 1, len(q) - 1
-    s = np.zeros((m + l, m + l), dtype=complex)
+    """Sylvester matrices of polynomials p, q given low-to-high, one per
+    row of the stacks ``p`` and ``q``."""
+    m, l = p.shape[-1] - 1, q.shape[-1] - 1
+    s = np.zeros(p.shape[:-1] + (m + l, m + l), dtype=complex)
     for i in range(l):
-        s[i, i:i + m + 1] = p[::-1]
+        s[..., i, i:i + m + 1] = p[..., ::-1]
     for i in range(m):
-        s[l + i, i:i + l + 1] = q[::-1]
+        s[..., l + i, i:i + l + 1] = q[..., ::-1]
     return s
 
 
 def _discriminant(pencil: PencilFamily,
                   samples: int | None) -> tuple[np.ndarray, float]:
     """Recovered discriminant coefficients (low to high in z, trailing
-    near-zero ones truncated) and the largest |D| sample on the circle."""
+    near-zero ones truncated) and the largest |D| sample on the circle.
+
+    The samples are built in one pass over the stack of H at the circle
+    nodes: its characteristic polynomials, their Sylvester matrices and
+    the determinants of those, each as one lockstep call.
+    """
     n = pencil.size
     if n < 2:
         raise DimensionError("discriminant requires a pencil of size >= 2")
@@ -178,16 +192,16 @@ def _discriminant(pencil: PencilFamily,
         raise ValueError(f"need at least {degree_bound + 1} samples")
     radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    disc = np.empty(count, dtype=complex)
-    zero_like = 0
-    for j, z in enumerate(nodes):
-        coeffs = char_poly(pencil.at(z))
-        sylvester = _sylvester(coeffs, coeffs[1:] * np.arange(1, n + 1))
-        disc[j] = _det_lu(sylvester)
-        hadamard = float(np.prod(np.linalg.norm(sylvester, axis=1)))
-        if abs(disc[j]) <= _DET_ZERO_RATIO * hadamard:
-            zero_like += 1
-    if zero_like == count:
+    stack = pencil.a.data + nodes[:, None, None] * pencil.b.data
+    if not np.isfinite(stack).all():
+        raise NonFiniteError("matrix entries must be finite")
+    coeffs = _char_poly(stack)
+    sylvester = _sylvester(coeffs, coeffs[:, 1:] * np.arange(1, n + 1))
+    disc = _det_lu(sylvester)
+    hadamard = np.prod(np.linalg.norm(sylvester, axis=-1), axis=-1)
+    # hypot rounds like abs() of one complex; numpy's vectorised complex
+    # abs can differ in the last bit, and the gate compares it to a bound.
+    if np.all(np.hypot(disc.real, disc.imag) <= _DET_ZERO_RATIO * hadamard):
         raise ZeroDiscriminantError(
             "discriminant vanishes identically: every parameter value "
             "is degenerate")
@@ -206,12 +220,18 @@ def discriminant_poly(pencil: PencilFamily,
 
     Sampled on the circle |z| = 1 + ||A||_F / ||B||_F at
     n(n-1)+1 points (more with ``samples``), recovered by the discrete
-    Fourier relations, trailing near-zero coefficients truncated.
+    Fourier relations, trailing near-zero coefficients truncated. Each
+    sample is the determinant of the Sylvester matrix of char(H(z_j))
+    and its derivative; all samples are built in one pass over the
+    stack of H(z_j), by the lockstep Faddeev-LeVerrier recursion and the
+    lockstep LU of :mod:`spinpoint.cmatrix`.
 
     Raises
     ------
     ZeroDiscriminantError
         If the discriminant vanishes identically.
+    NonFiniteError
+        If H overflows at a circle node.
     """
     return _discriminant(pencil, samples)[0]
 
@@ -326,9 +346,10 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     the eigenvalues separate, or, when it falls on a further degeneracy,
     lies much closer to that degeneracy's own roots than to the rest.
     Any other group is relinked at half the radius until it splits. A
-    group reports its centroid; a single root is polished.
+    group reports its centroid; a single root is polished. The spectrum
+    at each root comes from ``eigenvalues``, one root at a time.
     """
-    spectra = _spectra(pencil, roots)
+    spectra = np.array([eigenvalues(pencil.at(z)) for z in roots])
     gaps = _min_gap(spectra)
     slope = np.polyder(coeffs[::-1])
     found = []

@@ -27,11 +27,14 @@ def matrix_to_dict(m: CMatrix) -> dict:
 
 def matrix_from_dict(obj: dict) -> CMatrix:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    for name, value in (("rows", rows), ("cols", cols)):
+        # A JSON integer only: not 1.9, true or "1", which int() would take.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"malformed matrix object: {name} must be an "
+                             f"integer, got {value!r}")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
     if not isinstance(data, (list, tuple)):

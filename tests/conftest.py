@@ -54,3 +54,42 @@ def random_unitary(rng, n):
     m = random_complex(rng, n)
     q, r = np.linalg.qr(m)
     return CMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def bit_pattern(x):
+    """Entries as uint64 words, so that signed zeros and NaN payloads
+    count."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def det_lu_reference(mat):
+    """Reference: the determinant of one matrix by LU elimination with
+    partial pivoting, the loop the lockstep LU must reproduce bit for
+    bit."""
+    m = np.array(mat, dtype=complex)
+    n = m.shape[0]
+    out = 1.0 + 0.0j
+    for k in range(n):
+        p = int(np.abs(m[k:, k]).argmax()) + k
+        if m[p, k] == 0.0:
+            return 0.0 + 0.0j
+        if p != k:
+            m[[k, p]] = m[[p, k]]
+            out = -out
+        out *= m[k, k]
+        m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
+    return complex(out)
+
+
+def char_poly_reference(mat):
+    """Reference: the Faddeev-LeVerrier recursion on one matrix, the loop
+    the lockstep recursion must reproduce bit for bit."""
+    n = mat.shape[0]
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[n] = 1.0
+    aux = np.zeros_like(mat, dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        aux = mat @ aux + coeffs[n - k + 1] * eye
+        coeffs[n - k] = -np.trace(mat @ aux) / k
+    return coeffs * (-1.0) ** n

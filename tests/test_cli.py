@@ -113,6 +113,14 @@ class TestRoundTrip:
             assert code == 1, data
             assert err.startswith("bad-matrix-file:"), data
 
+    def test_check_non_integer_shape(self, run, tmp_path):
+        path = tmp_path / "m.json"
+        for rows in ("1.9", "true", '"1"'):
+            path.write_text(f'{{"rows": {rows}, "cols": 1, "data": [[1, 0]]}}')
+            code, _, err = run("check", "--input", str(path))
+            assert code == 1, rows
+            assert err.startswith("bad-matrix-file:"), rows
+
 
 class TestKernel:
     def test_spin_two_vector(self, run):

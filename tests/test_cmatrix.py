@@ -1,5 +1,7 @@
 """Core dense-kernel tests: arithmetic, structure maps, rank, spectra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ import spinpoint as sp
 from spinpoint import CMatrix, Tolerance
 from spinpoint.errors import DimensionError, NonFiniteError
 
-from conftest import (SIGMA1, SIGMA3, paired_spectra, random_complex,
+from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
+                      det_lu_reference, paired_spectra, random_complex,
                       random_cmatrix, random_hermitian, random_unitary)
 
 
@@ -252,12 +255,6 @@ def one_matrix_elimination(a, threshold):
     return m, r, colperm
 
 
-def bit_pattern(x):
-    """Entries as uint64 words, so that signed zeros and NaN payloads
-    count."""
-    return np.ascontiguousarray(x).view(np.uint64)
-
-
 class TestFullPivotStack:
     """The lockstep full-pivot elimination against the one-matrix loop."""
 
@@ -363,6 +360,91 @@ class TestCharPoly:
             for lam in sp.eigenvalues(a):
                 value = np.polyval(coeffs[::-1], lam)
                 assert abs(value) <= 1e-8 * (1.0 + norm) ** n
+
+
+def zero_pivot_matrices(rng, m):
+    """m x m matrices whose partially pivoted LU meets an exactly zero
+    pivot column, one per step k: row-shuffled upper triangles with a
+    zero k-th diagonal entry. Every multiplier is exactly zero, so column
+    k is still exactly zero from row k down at step k."""
+    out = []
+    for k in range(m):
+        a = np.triu(random_complex(rng, m))
+        a[k, k] = 0.0
+        out.append(a[rng.permutation(m)])
+    return out
+
+
+class TestLockstepStacks:
+    """The lockstep LU determinant and Faddeev-LeVerrier recursion against
+    the one-matrix loops, bit for bit."""
+
+    @staticmethod
+    def assert_det_matches(stack):
+        from spinpoint.cmatrix import _det_lu
+        got = _det_lu(stack)
+        assert got.shape == (len(stack),)
+        want = np.array([det_lu_reference(a) for a in stack], dtype=complex)
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+        return got
+
+    @staticmethod
+    def assert_char_poly_matches(stack):
+        from spinpoint.cmatrix import _char_poly
+        got = _char_poly(stack)
+        assert got.shape == (len(stack), stack.shape[-1] + 1)
+        want = np.array([char_poly_reference(a) for a in stack])
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+    def test_zero_pivot_columns_among_live_matrices(self, rng):
+        # A dead matrix leaves the stack before its zero pivot divides, so
+        # no warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (2, 3, 5, 7):
+                dead = zero_pivot_matrices(rng, m)
+                live = [random_complex(rng, m) for _ in dead]
+                stack = np.array([a for pair in zip(dead, live) for a in pair])
+                got = self.assert_det_matches(stack)
+                assert np.array_equal(got[::2], np.zeros(m)), f"m={m}"
+                assert np.all(got[1::2] != 0.0), f"m={m}"
+                # A stack of dead matrices only ends the elimination early.
+                assert not self.assert_det_matches(np.array(dead)).any()
+
+    def test_one_by_one_and_stack_of_one(self, rng):
+        ones = np.array([[[2.0 - 1.0j]], [[0.0]], [[-0.0 + 3.0j]]])
+        self.assert_det_matches(ones)
+        self.assert_char_poly_matches(ones)
+        for a in (ones[0], np.zeros((3, 3)), np.eye(4), SIGMA3 + 1j * SIGMA1,
+                  random_complex(rng, 6), zero_pivot_matrices(rng, 4)[2]):
+            self.assert_det_matches(np.array(a, dtype=complex)[None])
+            self.assert_char_poly_matches(np.array(a, dtype=complex)[None])
+            m = CMatrix(a)
+            assert sp.det(m) == det_lu_reference(a)
+            assert np.array_equal(bit_pattern(sp.char_poly(m)),
+                                  bit_pattern(char_poly_reference(m.data)))
+
+    def test_char_poly_of_mixed_stacks(self, rng):
+        for n in (1, 2, 3, 5, 8, 12):
+            stack = np.array([random_complex(rng, n), np.zeros((n, n)),
+                              np.triu(random_complex(rng, n)),
+                              1e-3 * random_complex(rng, n)], dtype=complex)
+            self.assert_char_poly_matches(stack)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+    def test_random_stacks(self, m, count, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_complex(rng, m) for _ in range(count)])
+        # Exact zero pivot columns in some matrices, integer entries in
+        # others, so row swaps and early exits vary across the stack.
+        for k in rng.integers(0, m, size=count // 2):
+            i = int(rng.integers(count))
+            stack[i] = zero_pivot_matrices(rng, m)[k]
+        if count > 2:
+            stack[-1] = rng.integers(-2, 3, size=(m, m))
+        self.assert_det_matches(stack)
+        self.assert_char_poly_matches(stack)
 
 
 class TestPower:

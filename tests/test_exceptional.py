@@ -7,11 +7,13 @@ import spinpoint as sp
 from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        discriminant_poly, find_exceptional_points,
                        trace_sheets)
-from spinpoint.errors import SheetTrackingError, ZeroDiscriminantError
+from spinpoint.errors import (NonFiniteError, SheetTrackingError,
+                             ZeroDiscriminantError)
 import spinpoint.exceptional as exceptional
 from spinpoint.exceptional import _spectra, _spectral_disc, _step_test
 
-from conftest import (SIGMA1, SIGMA3, random_cmatrix, random_complex,
+from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
+                      det_lu_reference, random_cmatrix, random_complex,
                       random_unitary)
 
 
@@ -122,6 +124,56 @@ def winding(result):
     return round(turns)
 
 
+def sample_pencils():
+    """The locator's benchmark mix in miniature: seeded complex Gaussian
+    pencils at n = 2, 3 and 4, and the spin pencils 2s = 2 and 3."""
+    pencils = []
+    for seed in (1, 7, 11):
+        rng = np.random.default_rng([seed, 0])
+        pencils += [PencilFamily(a=random_cmatrix(rng, n),
+                                 b=random_cmatrix(rng, n))
+                    for n in (2, 3, 3, 4)]
+    return pencils + [spin_pencil(2), spin_pencil(3), hermitian_example()]
+
+
+def sylvester_reference(p, q):
+    """Reference: the Sylvester matrix of one pair of polynomials given
+    low-to-high."""
+    m, l = len(p) - 1, len(q) - 1
+    s = np.zeros((m + l, m + l), dtype=complex)
+    for i in range(l):
+        s[i, i:i + m + 1] = p[::-1]
+    for i in range(m):
+        s[l + i, i:i + l + 1] = q[::-1]
+    return s
+
+
+def one_node_discriminant(pencil, count):
+    """Reference: the discriminant recovered from samples built one
+    circle node at a time with the one-matrix loops, which the stacked
+    sample pass must reproduce bit for bit."""
+    n = pencil.size
+    radius = 1.0 + sp.frobenius_norm(pencil.a) / sp.frobenius_norm(pencil.b)
+    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    disc = np.empty(count, dtype=complex)
+    zero_like = 0
+    for j, z in enumerate(nodes):
+        coeffs = char_poly_reference(pencil.at(z).data)
+        sylvester = sylvester_reference(coeffs,
+                                        coeffs[1:] * np.arange(1, n + 1))
+        disc[j] = det_lu_reference(sylvester)
+        hadamard = float(np.prod(np.linalg.norm(sylvester, axis=1)))
+        zero_like += abs(disc[j]) <= exceptional._DET_ZERO_RATIO * hadamard
+    assert zero_like < count
+    coeffs = np.fft.fft(disc) / count / radius ** np.arange(count)
+    peak = np.abs(coeffs).max()
+    degree = count - 1
+    while degree > 0 and abs(coeffs[degree]) < \
+            exceptional._COEFF_TRUNCATION * peak:
+        degree -= 1
+    return coeffs[:degree + 1], float(np.abs(disc).max())
+
+
 def normalized(coeffs):
     coeffs = np.asarray(coeffs)
     return coeffs / coeffs[np.abs(coeffs).argmax()]
@@ -178,6 +230,43 @@ class TestDiscriminant:
                 expected = np.polyval(coeffs[::-1], z)
                 got = _spectral_disc(np.linalg.eigvals(a + z * b))
                 assert abs(got - expected) <= 1e-8 * abs(expected)
+
+    def test_sample_stacks_match_one_matrix_loops(self):
+        from spinpoint.cmatrix import _char_poly, _det_lu
+        for pencil in sample_pencils():
+            n = pencil.size
+            count = n * (n - 1) + 1
+            nodes = np.exp(2j * np.pi * np.arange(count) / count)
+            stack = np.array([pencil.at(z).data for z in nodes])
+            coeffs = _char_poly(stack)
+            for got, h in zip(coeffs, stack):
+                assert np.array_equal(bit_pattern(got),
+                                      bit_pattern(char_poly_reference(h)))
+            sylvester = exceptional._sylvester(
+                coeffs, coeffs[:, 1:] * np.arange(1, n + 1))
+            for s, c in zip(sylvester, coeffs):
+                assert np.array_equal(
+                    s, sylvester_reference(c, c[1:] * np.arange(1, n + 1)))
+            dets = _det_lu(sylvester)
+            want = np.array([det_lu_reference(s) for s in sylvester])
+            assert np.array_equal(bit_pattern(dets), bit_pattern(want))
+
+    def test_stacked_samples_match_one_node_at_a_time(self):
+        for pencil in sample_pencils():
+            n = pencil.size
+            for count in (n * (n - 1) + 1, n * (n - 1) + 4):
+                coeffs, scale = exceptional._discriminant(pencil, count)
+                want, want_scale = one_node_discriminant(pencil, count)
+                assert np.array_equal(bit_pattern(coeffs), bit_pattern(want))
+                assert bit_pattern(np.float64(scale)) == \
+                    bit_pattern(np.float64(want_scale))
+
+    def test_non_finite_node_matrices_are_refused(self):
+        pencil = PencilFamily(a=CMatrix(1e308 * SIGMA3),
+                              b=CMatrix(1e308 * SIGMA1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                discriminant_poly(pencil)
 
     def test_sample_count_invariance(self):
         base = discriminant_poly(hermitian_example())

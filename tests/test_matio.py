@@ -34,6 +34,9 @@ class TestJson:
         '{"rows": 1, "cols": 1, "data": 5}',
         '{"rows": 1, "cols": 1, "data": [[null, 0]]}',
         '{"rows": 1, "cols": 1, "data": [[{}, 0]]}',
+        '{"rows": 1.9, "cols": 1, "data": [[1, 0]]}',
+        '{"rows": true, "cols": 1, "data": [[1, 0]]}',
+        '{"rows": 1, "cols": "1", "data": [[1, 0]]}',
         'not json',
     ])
     def test_rejects_malformed(self, payload):
