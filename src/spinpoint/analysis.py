@@ -2,8 +2,10 @@
 
 Normality of a hermitian pair (A, B) is decided by the normality test
 of A + iB alone; the commutator criterion ||[A, B]|| = 0, equal to it in
-exact arithmetic, serves only as an oracle in the tests. ``sweep_phi``
-tabulates the family sigma3 + e^{i phi} sigma1 over phi in [0, pi/2].
+exact arithmetic, serves only as an oracle in the tests. The normality
+test runs on the matrix scaled by a power of two to unit entries, so its
+verdict does not depend on the scale. ``sweep_phi`` tabulates the family
+sigma3 + e^{i phi} sigma1 over phi in [0, pi/2].
 
 The nilpotency decision intentionally combines two tests: an
 eigenvalue-modulus test and a power-decay test. Either alone
@@ -43,8 +45,8 @@ import numpy as np
 
 from ._schur import _binary_exponent, _ldexp
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
-                      _full_pivot_eliminate, adjoint, commutator, eigenvalues,
-                      frobenius_norm, schur)
+                      _full_pivot_eliminate, eigenvalues, frobenius_norm,
+                      schur)
 from .errors import ConvergenceError, DimensionError
 
 __all__ = [
@@ -68,7 +70,9 @@ SCATTER_FACTOR = 4.0
 class NormalityReport:
     """Normality diagnostics of one square matrix.
 
-    ``defect`` is ||A A* - A* A||_F. ``henrici`` is the departure from
+    ``defect`` is ||A A* - A* A||_F, inf where that overflows;
+    ``is_normal`` holds the defect of A scaled by a power of two to unit
+    entries to the tolerance. ``henrici`` is the departure from
     normality sqrt(||A||_F^2 - sum |lambda_i|^2), evaluated
     cancellation-free as the Frobenius norm of the strict upper triangle
     of the Schur factor; it is None when the eigensolver failed.
@@ -103,13 +107,24 @@ class NilpotencyReport:
 
 
 def _hermiticity_defect(a: CMatrix) -> float:
-    return float(np.linalg.norm(a.data - a.data.conj().T))
+    return _frobenius(a.data - a.data.conj().T)
 
 
 def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool]:
-    """The defect ||A A* - A* A||_F and whether it is within tolerance."""
-    defect = frobenius_norm(commutator(a, adjoint(a)))
-    return defect, defect <= tol.effective(a)
+    """The defect ||A A* - A* A||_F and whether it is within tolerance.
+
+    Both are taken from B = 2**-e A, e from ``_binary_exponent``: the
+    defect is quadratic in A and the threshold linear, so the verdict is
+    that of B, whose largest entry lies in [0.5, 1), and it does not
+    change when A is scaled by a power of two. The defect of A is that of
+    B scaled back by 2**(2 e), exactly unless it overflows to inf.
+    """
+    e = int(_binary_exponent(a.data))
+    b = _ldexp(a.data, -e)
+    b_h = b.conj().T
+    defect = _frobenius(b @ b_h - b_h @ b)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(defect, 2 * e)), defect <= tol.effective(b)
 
 
 def normality_report(a: CMatrix,
@@ -123,7 +138,7 @@ def normality_report(a: CMatrix,
     defect, is_normal = _normality(a, tol)
     try:
         t = schur(a).t.data
-        henrici = float(np.linalg.norm(np.triu(t, 1)))
+        henrici = _frobenius(np.triu(t, 1))
     except ConvergenceError:
         henrici = None
     return NormalityReport(

@@ -431,16 +431,8 @@ def eigenvalues(a: CMatrix) -> np.ndarray:
         unconverged block index.
     """
     a.require_square("eigenvalues")
-    t, _ = schur_decompose(a.data, want_q=False)
-    return _sort_eigenvalues(np.diag(t))
-
-
-def _sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    """``eigenvalues`` order along the last axis, so a stack of spectra
-    is sorted row by row."""
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)), axis=-1)
-    return np.take_along_axis(vals, order, axis=-1)
+    vals = np.diag(schur_decompose(a.data, want_q=False)[0])
+    return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
 
 
 def schur(a: CMatrix) -> SchurForm:

@@ -26,10 +26,12 @@ Sheet structure around a point is probed by walking eigenvalues along a
 closed loop, continuing each sheet to its nearest new eigenvalue, and
 bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
-it induces. The spectra at the path nodes after the start, hundreds of
-them, are solved as one stack by the lockstep QR loop. Array passes over
-the loop's node stack test every step; a step that fails gets its
-midpoint solved alone and inserted, so every node is solved once.
+it induces. The step back from the last node to the start is held to
+the same test, so that test is the only way a loop is refused. The
+spectra at the path nodes after the start, hundreds of them, are solved
+as one stack by the lockstep QR loop. Array passes over the loop's node
+stack test every step; a step that fails gets its midpoint solved alone
+and inserted, so every node is solved once.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import numpy as np
 
 from ._schur import _eigenvalues_stack
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _char_poly,
-                      _det_lu, _full_pivot_eliminate, _sort_eigenvalues,
-                      eigenvalues, frobenius_norm)
+                      _det_lu, _full_pivot_eliminate, eigenvalues,
+                      frobenius_norm)
 from .errors import (DimensionError, NonFiniteError, SheetTrackingError,
                      ZeroDiscriminantError)
 
@@ -83,7 +85,18 @@ class PencilFamily:
         return self.a.rows
 
     def at(self, z: complex) -> CMatrix:
-        return CMatrix(self.a.data + complex(z) * self.b.data)
+        return CMatrix(self._stack(z))
+
+    def _stack(self, zs) -> np.ndarray:
+        """H(z) for a scalar z, or one matrix per z of an array: every
+        H(z) that the package forms. Raises ``NonFiniteError``, with no
+        overflow warning, when any entry overflows."""
+        zs = np.asarray(zs, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = self.a.data + zs[..., None, None] * self.b.data
+        if not np.isfinite(stack).all():
+            raise NonFiniteError("matrix entries must be finite")
+        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +205,7 @@ def _discriminant(pencil: PencilFamily,
         raise ValueError(f"need at least {degree_bound + 1} samples")
     radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    stack = pencil.a.data + nodes[:, None, None] * pencil.b.data
-    if not np.isfinite(stack).all():
-        raise NonFiniteError("matrix entries must be finite")
-    coeffs = _char_poly(stack)
+    coeffs = _char_poly(pencil._stack(nodes))
     sylvester = _sylvester(coeffs, coeffs[:, 1:] * np.arange(1, n + 1))
     disc = _det_lu(sylvester)
     hadamard = np.prod(np.linalg.norm(sylvester, axis=-1), axis=-1)
@@ -252,14 +262,6 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         comp[1:, :-1] = np.eye(degree - 1)
     comp[:, -1] = -monic[:degree]
     return np.asarray(eigenvalues(CMatrix(comp)))
-
-
-def _spectra(pencil: PencilFamily, zs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of H(z) for each z, one sorted row per z, solved as one
-    stack."""
-    zs = np.asarray(zs, dtype=complex)
-    stack = pencil.a.data + zs[:, None, None] * pencil.b.data
-    return _sort_eigenvalues(_eigenvalues_stack(stack))
 
 
 def _pair_distances(values: np.ndarray) -> np.ndarray:
@@ -408,11 +410,10 @@ def find_exceptional_points(pencil: PencilFamily,
             z=z, degenerate_eigenvalue=e, gap=gap,
             discriminant_residual=disc_residual, newton_converged=converged,
             accepted=accepted))
-        matrix = CMatrix(pencil.at(z).data - e * np.eye(n))
-        shifted.append(matrix.data)
+        shifted.append(pencil.at(z).data - e * np.eye(n))
         thresholds.append(Tolerance(
             absolute=max(tol.absolute, 10.0 * gap),
-            relative=tol.relative).effective(matrix))
+            relative=tol.relative).effective(shifted[-1]))
     # The geometric ranks of H(z) - E, all candidates in one elimination.
     ranks = _full_pivot_eliminate(np.array(shifted), thresholds)[1]
     candidates = [EPCandidate(geometric_multiplicity=n - r, **f)
@@ -448,6 +449,14 @@ def _step_test(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return nearest, clash, far, jump, gap
 
 
+def _failure(clash: np.ndarray, jump: np.ndarray, gap: np.ndarray,
+             i: int) -> str:
+    """Why step i of a ``_step_test`` failed."""
+    if clash[i]:
+        return "two sheets continue to the same eigenvalue"
+    return f"jump {jump[i]:.3e} exceeds half the sheet gap {gap[i]:.3e}"
+
+
 def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     """Continue the eigenvalues of H(z) around the loop and read off the
     sheet permutation.
@@ -465,7 +474,10 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     step still failing after 8 bisections raises ``SheetTrackingError``
     with the index of the requested step; that is how a loop through an
     exceptional point, or one too close to it for double precision, is
-    refused.
+    refused. The closing step, from the last node back to the start, is
+    held to the same test, without bisection; its ``SheetTrackingError``
+    carries the index ``steps``. A node where H overflows raises
+    ``NonFiniteError``.
     """
     # The start fixes the sheet labels, so it comes from eigenvalues()
     # itself: a stack row may differ from it in the last bit, and that can
@@ -476,7 +488,8 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     # Row i of values is the spectrum at t[i], in sheet order up to row
     # done. level[i] is 0 at a requested node and d at a midpoint inserted
     # by the d-th bisection, so a step is as deep as its deeper end.
-    values = np.concatenate([start[None], _spectra(pencil, nodes)])
+    values = np.concatenate([start[None],
+                             _eigenvalues_stack(pencil._stack(nodes))])
     t = [j / steps for j in range(steps + 1)]
     level = [0] * (steps + 1)
     done = 0
@@ -501,16 +514,11 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
             break
         depth = max(level[done], level[done + 1])
         if depth >= _MAX_BISECTIONS:
-            if clash[accepted]:
-                failure = "two sheets continue to the same eigenvalue"
-            else:
-                failure = (f"jump {jump[accepted]:.3e} exceeds half the "
-                           f"sheet gap {gap[accepted]:.3e}")
             step_index = level[:done + 1].count(0)
             raise SheetTrackingError(
                 f"eigenvalue continuation failed at step {step_index}: "
-                f"{failure} after {_MAX_BISECTIONS} bisections",
-                step_index=step_index)
+                f"{_failure(clash, jump, gap, accepted)} after "
+                f"{_MAX_BISECTIONS} bisections", step_index=step_index)
         t_mid = 0.5 * (t[done] + t[done + 1])
         mid = np.asarray(eigenvalues(pencil.at(path.point(t_mid))))
         values = np.insert(values, done + 1, mid, axis=0)
@@ -518,18 +526,13 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
         level.insert(done + 1, depth + 1)
     sheets = values[np.array(level) == 0]
 
-    pairing, clash, _, closure_error, _ = _step_test(
-        np.array([sheets[-1], start]))
-    if clash[0]:
+    # The closing step, from the last node back to the start, is held to
+    # the same test as every other step.
+    pairing, clash, far, jump, gap = _step_test(np.array([sheets[-1], start]))
+    if clash[0] or far[0]:
         raise SheetTrackingError(
-            "loop failed to close: two sheets end at the same starting "
-            "eigenvalue", step_index=path.steps)
-    closure_error = float(closure_error[0])
-    limit = 1e-6 * frobenius_norm(pencil.at(path.center))
-    if closure_error > limit:
-        raise SheetTrackingError(
-            f"loop failed to close: matched end-start distance "
-            f"{closure_error:.3e} exceeds {limit:.3e}", step_index=path.steps)
+            f"loop failed to close: {_failure(clash, jump, gap, 0)}",
+            step_index=path.steps)
     return MonodromyResult(permutation=tuple(pairing[0].tolist()),
                            trajectories=tuple(map(tuple, sheets.tolist())),
-                           closure_error=closure_error)
+                           closure_error=float(jump[0]))

@@ -43,12 +43,15 @@ def matrix_from_dict(obj: dict) -> CMatrix:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
     values = []
     for pair in data:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError("malformed matrix object: "
-                             "each entry must be an [re, im] pair")
+        # JSON numbers only: not true or "2", which float() would take.
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(
+                isinstance(v, bool) or not isinstance(v, (int, float))
+                for v in pair):
+            raise ValueError("malformed matrix object: each entry must be "
+                             f"an [re, im] pair of numbers, got {pair!r}")
         try:
             values.append(complex(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"malformed matrix object: {exc}") from exc
     entries = [values[r * cols:(r + 1) * cols] for r in range(rows)]
     return CMatrix(entries)
@@ -115,11 +118,15 @@ def from_matrix_market(text: str) -> CMatrix:
         if len(entries) != nnz:
             raise ValueError(f"expected {nnz} entry lines, got {len(entries)}")
         mat = [[0.0 + 0.0j] * cols for _ in range(rows)]
+        seen = set()
         for ln in entries:
             i_s, j_s, re_s, im_s = ln.split()
             i, j = int(i_s) - 1, int(j_s) - 1
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"index out of range in line {ln!r}")
+            if (i, j) in seen:
+                raise ValueError(f"entry ({i_s}, {j_s}) listed twice")
+            seen.add((i, j))
             mat[i][j] = complex(float(re_s), float(im_s))
         return CMatrix(mat)
     raise ValueError(f"unsupported layout {layout!r}")

@@ -66,6 +66,28 @@ class TestNormalityReport:
             if messy_report.defect > 1e-6:
                 assert messy_report.henrici > 1e-10
 
+    @pytest.mark.parametrize("k", [-27, -23, -10, 0, 13, 20, 100, 300, 498])
+    def test_verdict_is_scale_free(self, k):
+        # The defect is quadratic in the matrix and the threshold linear,
+        # so the verdict is taken on the matrix scaled to unit entries:
+        # 2**k A keeps the verdict of A; its defect is 4**k and its Henrici
+        # departure 2**k those of A.
+        rng = np.random.default_rng(5)
+        h = random_hermitian(rng, 3).data
+        pair = (h @ h + 2.0 * h, h @ h @ h - h)
+        c = 2.0 ** k
+        assert sp.hermitian_pair_is_normal(*(CMatrix(c * m)
+                                             for m in pair)) is True
+        u = random_unitary(rng, 4).data
+        normal = u @ np.diag(random_complex(rng, 4, 1)[:, 0]) @ u.conj().T
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for m, is_normal in ((normal, True), (jordan, False)):
+            base = sp.normality_report(CMatrix(m))
+            scaled = sp.normality_report(CMatrix(c * m))
+            assert base.is_normal is scaled.is_normal is is_normal
+            assert scaled.defect == c * c * base.defect
+            assert scaled.henrici == c * base.henrici
+
 
 class TestHermitianPair:
     def test_pauli_pair_not_normal(self, pauli):

@@ -107,11 +107,32 @@ class TestRoundTrip:
 
     def test_check_malformed_entries(self, run, tmp_path):
         path = tmp_path / "m.json"
-        for data in ("[5]", "5", "[[null, 0]]", "[[{}, 0]]"):
+        for data in ("[5]", "5", "[[null, 0]]", "[[{}, 0]]", '[[true, "2"]]',
+                     f"[[1{'0' * 400}, 0]]"):
             path.write_text(f'{{"rows": 1, "cols": 1, "data": {data}}}')
             code, _, err = run("check", "--input", str(path))
             assert code == 1, data
             assert err.startswith("bad-matrix-file:"), data
+
+    def test_check_repeated_coordinate(self, run, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "1 1 2\n1 1 1.0 0.0\n1 1 2.0 0.0\n")
+        code, _, err = run("check", "--input", str(path))
+        assert code == 1
+        assert err.startswith("bad-matrix-file:")
+
+    def test_check_overflowing_defect(self, run, tmp_path):
+        # The defect of this matrix overflows; the verdict does not, and
+        # the JSON carries the defect as Infinity.
+        path = tmp_path / "m.json"
+        path.write_text(matio.to_json(CMatrix([[1.0, 1e200], [0.0, 1.0]])))
+        code, out, _ = run("check", "--input", str(path))
+        assert code == 0
+        normality = json.loads(out)["normality"]
+        assert normality["defect"] == float("inf")
+        assert normality["is_normal"] is False
+        assert normality["henrici"] == 1e200
 
     def test_check_non_integer_shape(self, run, tmp_path):
         path = tmp_path / "m.json"

@@ -9,8 +9,9 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        trace_sheets)
 from spinpoint.errors import (NonFiniteError, SheetTrackingError,
                              ZeroDiscriminantError)
+from spinpoint._schur import _eigenvalues_stack
 import spinpoint.exceptional as exceptional
-from spinpoint.exceptional import _spectra, _spectral_disc, _step_test
+from spinpoint.exceptional import _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
                       det_lu_reference, random_cmatrix, random_complex,
@@ -57,7 +58,7 @@ def stepwise_trace(pencil, path):
     """(permutation, trajectories, closure_error) from a loop that
     continues one requested step at a time and bisects a failing step
     recursively, with one scalar solve per midpoint and the known values
-    at both ends; no closure limit."""
+    at both ends; the closing step is held to the same rule."""
     steps = path.steps
 
     def continued(current, t_from, t_to, new_values, depth):
@@ -71,8 +72,9 @@ def stepwise_trace(pencil, path):
         return continued(half, t_mid, t_to, new_values, depth + 1)
 
     start = np.asarray(exceptional.eigenvalues(pencil.at(path.point(0.0))))
-    spectra = _spectra(pencil, [path.point(j / steps)
-                                for j in range(1, steps + 1)])
+    spectra = _eigenvalues_stack(np.array([
+        pencil.a.data + complex(path.point(j / steps)) * pencil.b.data
+        for j in range(1, steps + 1)]))
     trajectories = [tuple(complex(v) for v in start)]
     current = start
     for j in range(1, steps + 1):
@@ -264,9 +266,8 @@ class TestDiscriminant:
     def test_non_finite_node_matrices_are_refused(self):
         pencil = PencilFamily(a=CMatrix(1e308 * SIGMA3),
                               b=CMatrix(1e308 * SIGMA1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError):
-                discriminant_poly(pencil)
+        with pytest.raises(NonFiniteError):
+            discriminant_poly(pencil)
 
     def test_sample_count_invariance(self):
         base = discriminant_poly(hermitian_example())
@@ -643,6 +644,52 @@ class TestTraceSheets:
                               PathSpec(center=center, radius=radius,
                                        steps=256))
         assert result.permutation == permutation
+
+    @pytest.mark.parametrize("pencil, path", [
+        # Closing misses the start by the rounding of exp(2 pi i) times the
+        # radius, 2.4e-6 at radius 1e10; the sheets are 1e10 apart.
+        (hermitian_example(), PathSpec(center=0.0, radius=1e8, steps=64)),
+        (hermitian_example(), PathSpec(center=0.0, radius=1e10, steps=64)),
+        # H(center) = 0, about it and beside it.
+        (PencilFamily(a=CMatrix.zeros(2), b=CMatrix.diagonal([1.0, 2.0])),
+         PathSpec(center=0.0, radius=0.5, steps=64)),
+        (PencilFamily(a=CMatrix.zeros(2), b=CMatrix.diagonal([1.0, 2.0])),
+         PathSpec(center=1e-3, radius=0.5, steps=64)),
+    ], ids=["radius-1e8", "radius-1e10", "zero-center", "beside-zero"])
+    def test_closing_step_is_held_to_the_step_test(self, pencil, path):
+        result = trace_sheets(pencil, path)
+        assert result.permutation == (0, 1)
+        jump = np.abs(np.array(result.trajectories[-1])
+                      - np.array(result.trajectories[0])).max()
+        assert result.closure_error == jump
+
+    def test_loop_that_does_not_close_is_refused(self):
+        # The path spirals out from z = 0.3 to 0.6, where the eigenvalues
+        # z and 1 of this pencil are 0.4 apart: the end is 0.3 from the
+        # start, more than half the gap, and no two sheets clash.
+        class Spiral(PathSpec):
+            def point(self, t):
+                return self.radius * (1.0 + t) * np.exp(2j * np.pi * t)
+
+        pencil = PencilFamily(a=CMatrix.diagonal([0.0, 1.0]),
+                              b=CMatrix.diagonal([1.0, 0.0]))
+        with pytest.raises(SheetTrackingError) as info:
+            trace_sheets(pencil, Spiral(center=0.0, radius=0.3, steps=64))
+        assert info.value.step_index == 64
+        assert str(info.value) == ("loop failed to close: jump 3.000e-01 "
+                                   "exceeds half the sheet gap 4.000e-01")
+
+    def test_overflowing_nodes_raise_non_finite(self):
+        # The start is finite; the nodes far from it overflow. Neither
+        # call may warn first (pytest turns a warning into an error).
+        pencil = PencilFamily(a=CMatrix(np.diag([0.0, 1.0])),
+                              b=CMatrix(1e10 * SIGMA1))
+        path = PathSpec(center=-0.99e298, radius=1e298, steps=64)
+        pencil.at(path.point(0.0))
+        with pytest.raises(NonFiniteError):
+            trace_sheets(pencil, path)
+        with pytest.raises(NonFiniteError):
+            pencil.at(2e298)
 
     def test_never_runs_the_locator(self, monkeypatch):
         def refuse(*args, **kwargs):

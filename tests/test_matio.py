@@ -37,6 +37,10 @@ class TestJson:
         '{"rows": 1.9, "cols": 1, "data": [[1, 0]]}',
         '{"rows": true, "cols": 1, "data": [[1, 0]]}',
         '{"rows": 1, "cols": "1", "data": [[1, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[true, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[1, "2"]]}',
+        pytest.param('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
+                     id="integer-beyond-float"),
         'not json',
     ])
     def test_rejects_malformed(self, payload):
@@ -65,6 +69,16 @@ class TestMatrixMarket:
     def test_rejects_real_field(self):
         text = "%%MatrixMarket matrix array real general\n1 1\n1.0"
         with pytest.raises(ValueError):
+            matio.from_matrix_market(text)
+
+    def test_rejects_repeated_coordinate(self):
+        text = "\n".join([
+            "%%MatrixMarket matrix coordinate complex general",
+            "2 2 2",
+            "1 1 0.5 0.0",
+            "1 1 3.0 0.0",
+        ])
+        with pytest.raises(ValueError, match="listed twice"):
             matio.from_matrix_market(text)
 
     def test_rejects_wrong_counts(self):
