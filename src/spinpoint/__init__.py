@@ -15,8 +15,8 @@ from .analysis import (NormalityReport, NilpotencyReport, PhiFamilyPoint,
                        nilpotency_report, phi_family, two_qubit_tangle)
 from .kernel import KernelSolution, kernel_vector, verify_uniqueness
 from .exceptional import (PencilFamily, EPCandidate, PathSpec,
-                          MonodromyResult, discriminant_poly,
-                          find_exceptional_points, trace_sheets)
+                          MonodromyResult, find_exceptional_points,
+                          trace_sheets)
 from .fermi import (FermiQuadratic, RepEigenAnalysis, quadratic_fermi_rep,
                     rep_eigen_analysis)
 from .errors import (SpinpointError, DimensionError, NonFiniteError,
@@ -37,7 +37,7 @@ __all__ = [
     "phi_family", "two_qubit_tangle",
     "KernelSolution", "kernel_vector", "verify_uniqueness",
     "PencilFamily", "EPCandidate", "PathSpec", "MonodromyResult",
-    "discriminant_poly", "find_exceptional_points", "trace_sheets",
+    "find_exceptional_points", "trace_sheets",
     "FermiQuadratic", "RepEigenAnalysis", "quadratic_fermi_rep",
     "rep_eigen_analysis",
     "SpinpointError", "DimensionError", "NonFiniteError",

@@ -3,9 +3,9 @@
 Normality of a hermitian pair (A, B) is decided by the normality test
 of A + iB alone; the commutator criterion ||[A, B]|| = 0, equal to it in
 exact arithmetic, serves only as an oracle in the tests. The normality
-test runs on the matrix scaled by a power of two to unit entries, so its
-verdict does not depend on the scale. ``sweep_phi`` tabulates the family
-sigma3 + e^{i phi} sigma1 over phi in [0, pi/2].
+and hermiticity tests run on the matrix scaled by a power of two to unit
+entries, so their verdicts do not depend on the scale. ``sweep_phi``
+tabulates the family sigma3 + e^{i phi} sigma1 over phi in [0, pi/2].
 
 The nilpotency decision intentionally combines two tests: an
 eigenvalue-modulus test and a power-decay test. Either alone
@@ -71,11 +71,12 @@ class NormalityReport:
     """Normality diagnostics of one square matrix.
 
     ``defect`` is ||A A* - A* A||_F, inf where that overflows;
-    ``is_normal`` holds the defect of A scaled by a power of two to unit
-    entries to the tolerance. ``henrici`` is the departure from
-    normality sqrt(||A||_F^2 - sum |lambda_i|^2), evaluated
-    cancellation-free as the Frobenius norm of the strict upper triangle
-    of the Schur factor; it is None when the eigensolver failed.
+    ``is_normal`` and ``is_hermitian`` hold the normality defect and
+    ||A - A*||_F of A scaled by a power of two to unit entries to the
+    tolerance. ``henrici`` is the departure from normality
+    sqrt(||A||_F^2 - sum |lambda_i|^2), evaluated cancellation-free as
+    the Frobenius norm of the strict upper triangle of the Schur factor;
+    it is None when the eigensolver failed.
     """
 
     defect: float
@@ -106,25 +107,26 @@ class NilpotencyReport:
                 "rank_chain": list(self.rank_chain)}
 
 
-def _hermiticity_defect(a: CMatrix) -> float:
-    return _frobenius(a.data - a.data.conj().T)
+def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool, bool]:
+    """The defect ||A A* - A* A||_F, whether it is within tolerance, and
+    whether ||A - A*||_F is.
 
-
-def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool]:
-    """The defect ||A A* - A* A||_F and whether it is within tolerance.
-
-    Both are taken from B = 2**-e A, e from ``_binary_exponent``: the
-    defect is quadratic in A and the threshold linear, so the verdict is
-    that of B, whose largest entry lies in [0.5, 1), and it does not
-    change when A is scaled by a power of two. The defect of A is that of
-    B scaled back by 2**(2 e), exactly unless it overflows to inf.
+    All three are taken from B = 2**-e A, e from ``_binary_exponent``:
+    the tolerance has an absolute part, and the normality defect is
+    quadratic in A, so both verdicts are those of B, whose largest entry
+    lies in [0.5, 1), and neither changes when A is scaled by a power of
+    two. The defect of A is that of B scaled back by 2**(2 e), exactly
+    unless it overflows to inf.
     """
     e = int(_binary_exponent(a.data))
     b = _ldexp(a.data, -e)
     b_h = b.conj().T
     defect = _frobenius(b @ b_h - b_h @ b)
+    threshold = tol.effective(b)
+    is_hermitian = _frobenius(b - b_h) <= threshold
     with np.errstate(over="ignore"):
-        return float(np.ldexp(defect, 2 * e)), defect <= tol.effective(b)
+        return (float(np.ldexp(defect, 2 * e)), defect <= threshold,
+                is_hermitian)
 
 
 def normality_report(a: CMatrix,
@@ -135,7 +137,7 @@ def normality_report(a: CMatrix,
     the Henrici field.
     """
     a.require_square("normality_report")
-    defect, is_normal = _normality(a, tol)
+    defect, is_normal, is_hermitian = _normality(a, tol)
     try:
         t = schur(a).t.data
         henrici = _frobenius(np.triu(t, 1))
@@ -145,7 +147,7 @@ def normality_report(a: CMatrix,
         defect=defect,
         henrici=henrici,
         is_normal=is_normal,
-        is_hermitian=_hermiticity_defect(a) <= tol.effective(a),
+        is_hermitian=is_hermitian,
     )
 
 
@@ -164,7 +166,7 @@ def hermitian_pair_is_normal(a: CMatrix, b: CMatrix,
     if a.rows != b.rows:
         raise DimensionError(f"hermitian_pair_is_normal: {a.rows} vs {b.rows}")
     for name, m in (("a", a), ("b", b)):
-        if _hermiticity_defect(m) > tol.effective(m):
+        if not _normality(m, tol)[2]:
             raise ValueError(f"matrix {name} is not hermitian")
     return _normality(CMatrix(a.data + 1j * b.data), tol)[1]
 

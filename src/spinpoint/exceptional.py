@@ -4,38 +4,27 @@ The discriminant D(z) -- the resultant in E of the characteristic
 polynomial and its E-derivative -- is sampled on a circle via Sylvester
 determinants, its coefficients recovered by the discrete Fourier
 relations, and its roots taken as companion-matrix eigenvalues. The
-samples are built in one pass: H at every circle node forms one stack,
-whose characteristic polynomials, Sylvester matrices and determinants
-each come from one lockstep call. The roots are split into one group per
-EP by the eigenvalue gap of H(z): a group is one EP when H at the
-group's centroid is no farther from degenerate than at any member, and
-the members sit on a circle around the centroid. A multiple root of D
-scatters its companion roots on such a circle, but their centroid is
-well conditioned (Kravanja and Van Barel, LNM 1727), so a group reports
-its centroid; a single root is polished by Newton iteration on D, with
-D(z) taken from the eigenvalues of H(z). Every candidate is certified by
-the eigenvalue gap at the reported parameter.
-
-The spectra at the companion roots are solved one root at a time by the
-scalar chase of ``eigenvalues``. A sweep of the lockstep QR loop costs
-about the same whatever the stack size, and the roots are few (n(n-1))
-and close to defective, where the QR iteration runs long: for so few
-matrices the scalar chase is cheaper.
+roots are split into one group per EP by the eigenvalue gap of H(z). A
+multiple root of D scatters its companion roots on a circle, but their
+centroid is well conditioned (Kravanja and Van Barel, LNM 1727), so a
+group reports its centroid; a single root is polished by Newton
+iteration on D, with D(z) taken from the eigenvalues of H(z). Every
+candidate is certified by the eigenvalue gap at the reported parameter.
+Monomial coefficients of D lose dynamic range as n grows: the locator
+holds for random pencils up to n = 4 and spin pencils up to 2s = 5, at
+unit scale (README states the envelope).
 
 Sheet structure around a point is probed by walking eigenvalues along a
 closed loop, continuing each sheet to its nearest new eigenvalue, and
 bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
 it induces. The step back from the last node to the start is held to
-the same test, so that test is the only way a loop is refused. The
-spectra at the path nodes after the start, hundreds of them, are solved
-as one stack by the lockstep QR loop. Array passes over the loop's node
-stack test every step; a step that fails gets its midpoint solved alone
-and inserted, so every node is solved once.
+the same test, so that test is the only way a loop is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -49,7 +38,7 @@ from .errors import (DimensionError, NonFiniteError, SheetTrackingError,
                      ZeroDiscriminantError)
 
 __all__ = ["PencilFamily", "EPCandidate", "PathSpec", "MonodromyResult",
-           "discriminant_poly", "find_exceptional_points", "trace_sheets"]
+           "find_exceptional_points", "trace_sheets"]
 
 # |D(z_j)| below this fraction of the Sylvester Hadamard bound counts as
 # an exact zero of the determinant.
@@ -128,9 +117,10 @@ class PathSpec:
     """Circular loop center + radius * exp(2 pi i * turns * t), t in [0, 1],
     sampled at steps+1 points. Negative turns reverse orientation.
 
-    Raises ``ValueError`` for a non-finite center or radius, a radius
-    that is not positive, ``steps`` or ``turns`` that is not an integer
-    (Python or numpy), zero turns, or fewer than 16 steps."""
+    Raises ``ValueError`` when center, radius, |Re center| + radius or
+    |Im center| + radius is not finite, for a radius that is not
+    positive, ``steps`` or ``turns`` that is not an integer (Python or
+    numpy), zero turns, or fewer than 16 steps."""
 
     center: complex
     radius: float
@@ -138,8 +128,11 @@ class PathSpec:
     turns: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
-            raise ValueError("center and radius must be finite")
+        # Python floats overflow to inf with no warning; + 0 refuses a str.
+        c, r = complex(self.center + 0j), float(self.radius + 0.0)
+        if not all(math.isfinite(abs(x) + r) for x in (c.real, c.imag)):
+            raise ValueError("center, radius, |Re center| + radius and "
+                             "|Im center| + radius must be finite")
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
         for name in ("steps", "turns"):
@@ -187,22 +180,23 @@ def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _discriminant(pencil: PencilFamily,
-                  samples: int | None) -> tuple[np.ndarray, float]:
-    """Recovered discriminant coefficients (low to high in z, trailing
-    near-zero ones truncated) and the largest |D| sample on the circle.
+def _discriminant(pencil: PencilFamily) -> tuple[np.ndarray, float]:
+    """Coefficients (low to high in z) of the discriminant
+    Res_E(char(H(z)), d char/dE), trailing near-zero ones truncated, and
+    the largest |D| sample on the circle.
 
-    The samples are built in one pass over the stack of H at the circle
-    nodes: its characteristic polynomials, their Sylvester matrices and
-    the determinants of those, each as one lockstep call.
+    D has degree at most n(n-1), so it is sampled at n(n-1)+1 nodes of
+    the circle |z| = 1 + ||A||_F / ||B||_F and recovered by the discrete
+    Fourier relations. The samples are built in one pass over the stack
+    of H at the nodes: its characteristic polynomials, their Sylvester
+    matrices and the determinants of those, each as one lockstep call.
+    Raises ``ZeroDiscriminantError`` when D vanishes identically and
+    ``NonFiniteError`` when H overflows at a node.
     """
     n = pencil.size
     if n < 2:
         raise DimensionError("discriminant requires a pencil of size >= 2")
-    degree_bound = n * (n - 1)
-    count = samples if samples is not None else degree_bound + 1
-    if count < degree_bound + 1:
-        raise ValueError(f"need at least {degree_bound + 1} samples")
+    count = n * (n - 1) + 1
     radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     coeffs = _char_poly(pencil._stack(nodes))
@@ -221,29 +215,6 @@ def _discriminant(pencil: PencilFamily,
     while degree > 0 and abs(coeffs[degree]) < _COEFF_TRUNCATION * peak:
         degree -= 1
     return coeffs[:degree + 1], float(np.abs(disc).max())
-
-
-def discriminant_poly(pencil: PencilFamily,
-                      samples: int | None = None) -> np.ndarray:
-    """Coefficients (low to high in z) of the pencil's discriminant
-    Res_E(char(H(z)), d char/dE).
-
-    Sampled on the circle |z| = 1 + ||A||_F / ||B||_F at
-    n(n-1)+1 points (more with ``samples``), recovered by the discrete
-    Fourier relations, trailing near-zero coefficients truncated. Each
-    sample is the determinant of the Sylvester matrix of char(H(z_j))
-    and its derivative; all samples are built in one pass over the
-    stack of H(z_j), by the lockstep Faddeev-LeVerrier recursion and the
-    lockstep LU of :mod:`spinpoint.cmatrix`.
-
-    Raises
-    ------
-    ZeroDiscriminantError
-        If the discriminant vanishes identically.
-    NonFiniteError
-        If H overflows at a circle node.
-    """
-    return _discriminant(pencil, samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +240,9 @@ def _pair_distances(values: np.ndarray) -> np.ndarray:
     diagonal."""
     # hypot rounds like abs() of one complex; numpy's vectorised complex
     # abs can differ in the last bit, and the gap is a reported figure.
-    diff = values[..., :, None] - values[..., None, :]
-    dist = np.hypot(diff.real, diff.imag)
+    with np.errstate(over="ignore"):
+        diff = values[..., :, None] - values[..., None, :]
+        dist = np.hypot(diff.real, diff.imag)
     diagonal = np.arange(values.shape[-1])
     dist[..., diagonal, diagonal] = np.inf
     return dist
@@ -349,7 +321,9 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     lies much closer to that degeneracy's own roots than to the rest.
     Any other group is relinked at half the radius until it splits. A
     group reports its centroid; a single root is polished. The spectrum
-    at each root comes from ``eigenvalues``, one root at a time.
+    at each root comes from ``eigenvalues``, one root at a time: a
+    lockstep QR sweep costs about the same whatever the stack size, and
+    for these few, near-defective matrices the scalar chase is cheaper.
     """
     spectra = np.array([eigenvalues(pencil.at(z)) for z in roots])
     gaps = _min_gap(spectra)
@@ -379,7 +353,6 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
 
 
 def find_exceptional_points(pencil: PencilFamily,
-                            samples: int | None = None,
                             tol: Tolerance = DEFAULT_TOLERANCE
                             ) -> list[EPCandidate]:
     """Locate the roots of the pencil discriminant and certify them.
@@ -391,7 +364,7 @@ def find_exceptional_points(pencil: PencilFamily,
     polished by Newton iteration on D. Every candidate is certified by the
     eigenvalue gap of H(z) and sorted by modulus then argument.
     """
-    coeffs, disc_scale = _discriminant(pencil, samples)
+    coeffs, disc_scale = _discriminant(pencil)
     roots = _companion_roots(coeffs)
     if len(roots) == 0:
         return []
@@ -434,18 +407,20 @@ def _step_test(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     ``far``, whether the largest matched jump exceeds half the smaller of
     the two rows' sheet gaps; and that jump and gap. A step passes when it
     neither clashes nor jumps far, and then each sheet's nearest new value
-    is unique. Every result is invariant under permuting row i.
+    is unique. Every result is invariant under permuting row i. A
+    distance beyond the float range is inf, and an inf jump is far.
     """
     previous, new_values = rows[:-1], rows[1:]
-    nearest = np.abs(previous[:, :, None]
-                     - new_values[:, None, :]).argmin(axis=-1)
+    with np.errstate(over="ignore"):
+        nearest = np.abs(previous[:, :, None]
+                         - new_values[:, None, :]).argmin(axis=-1)
+        jump = np.abs(np.take_along_axis(new_values, nearest, axis=-1)
+                      - previous).max(axis=-1)
     picked = np.sort(nearest, axis=-1)
     clash = (picked[:, 1:] == picked[:, :-1]).any(axis=-1)
-    jump = np.abs(np.take_along_axis(new_values, nearest, axis=-1)
-                  - previous).max(axis=-1)
     gaps = _min_gap(rows)
     gap = np.minimum(gaps[:-1], gaps[1:])
-    far = ~(jump <= 0.5 * gap)
+    far = ~(jump <= 0.5 * gap) | np.isinf(jump)
     return nearest, clash, far, jump, gap
 
 

@@ -66,12 +66,13 @@ class TestNormalityReport:
             if messy_report.defect > 1e-6:
                 assert messy_report.henrici > 1e-10
 
-    @pytest.mark.parametrize("k", [-27, -23, -10, 0, 13, 20, 100, 300, 498])
+    @pytest.mark.parametrize("k", [-45, -27, -23, -10, 0, 13, 20, 100, 300,
+                                   498])
     def test_verdict_is_scale_free(self, k):
-        # The defect is quadratic in the matrix and the threshold linear,
-        # so the verdict is taken on the matrix scaled to unit entries:
-        # 2**k A keeps the verdict of A; its defect is 4**k and its Henrici
-        # departure 2**k those of A.
+        # The defect is quadratic in the matrix and the threshold has an
+        # absolute part, so both verdicts are taken on the matrix scaled to
+        # unit entries: 2**k A keeps the verdicts of A; its defect is 4**k
+        # and its Henrici departure 2**k those of A.
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 3).data
         pair = (h @ h + 2.0 * h, h @ h @ h - h)
@@ -81,12 +82,26 @@ class TestNormalityReport:
         u = random_unitary(rng, 4).data
         normal = u @ np.diag(random_complex(rng, 4, 1)[:, 0]) @ u.conj().T
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-        for m, is_normal in ((normal, True), (jordan, False)):
+        for m, is_normal, is_hermitian in ((pair[0], True, True),
+                                           (normal, True, False),
+                                           (jordan, False, False)):
             base = sp.normality_report(CMatrix(m))
             scaled = sp.normality_report(CMatrix(c * m))
             assert base.is_normal is scaled.is_normal is is_normal
+            assert base.is_hermitian is scaled.is_hermitian is is_hermitian
             assert scaled.defect == c * c * base.defect
             assert scaled.henrici == c * base.henrici
+        with pytest.raises(ValueError, match="matrix a is not hermitian"):
+            sp.hermitian_pair_is_normal(CMatrix(c * jordan), CMatrix.zeros(2))
+
+    def test_tiny_jordan_block_is_not_hermitian(self):
+        # 1e-13 J_2 is within the absolute tolerance of its adjoint, but
+        # it is no more hermitian than J_2.
+        jordan = CMatrix(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        report = sp.normality_report(jordan)
+        assert report.is_hermitian is False and report.is_normal is False
+        with pytest.raises(ValueError, match="matrix a is not hermitian"):
+            sp.hermitian_pair_is_normal(jordan, CMatrix.zeros(2))
 
 
 class TestHermitianPair:

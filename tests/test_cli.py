@@ -218,6 +218,18 @@ class TestPencilCommands:
         assert err.startswith("invalid-path:")
         assert out == ""
 
+    @pytest.mark.parametrize("center", ["1.5e308,0", "0,1.5e308",
+                                        "-1.5e308,0"])
+    def test_trace_overflowing_extent_is_invalid_path(self, run, pencil_files,
+                                                      center):
+        a_path, b_path = pencil_files
+        code, out, err = run("trace", "--a", a_path, "--b", b_path,
+                             f"--center={center}", "--radius", "1e308",
+                             "--steps", "64")
+        assert code == 1
+        assert err.startswith("invalid-path:")
+        assert out == ""
+
     def test_trace_near_ep_rejected(self, run, pencil_files):
         a_path, b_path = pencil_files
         code, _, err = run("trace", "--a", a_path, "--b", b_path,

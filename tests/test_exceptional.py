@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinpoint as sp
 from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
-                       discriminant_poly, find_exceptional_points,
-                       trace_sheets)
+                       find_exceptional_points, trace_sheets)
 from spinpoint.errors import (NonFiniteError, SheetTrackingError,
                              ZeroDiscriminantError)
 from spinpoint._schur import _eigenvalues_stack
@@ -14,8 +14,8 @@ import spinpoint.exceptional as exceptional
 from spinpoint.exceptional import _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
-                      det_lu_reference, random_cmatrix, random_complex,
-                      random_unitary)
+                      det_lu_reference, paired_spectra, random_cmatrix,
+                      random_complex, random_unitary)
 
 
 def hermitian_example():
@@ -176,6 +176,13 @@ def one_node_discriminant(pencil, count):
     return coeffs[:degree + 1], float(np.abs(disc).max())
 
 
+def doubled_count_discriminant(pencil):
+    """Reference: the discriminant recovered from twice the locator's
+    n(n-1)+1 samples, built one node at a time."""
+    n = pencil.size
+    return one_node_discriminant(pencil, 2 * (n * (n - 1) + 1))[0]
+
+
 def normalized(coeffs):
     coeffs = np.asarray(coeffs)
     return coeffs / coeffs[np.abs(coeffs).argmax()]
@@ -194,7 +201,7 @@ class TestPencilFamily:
 class TestDiscriminant:
     def test_avoided_crossing_oracle(self):
         # discriminant of E^2 - E - eps^2 is 1 + 4 eps^2
-        coeffs = discriminant_poly(hermitian_example())
+        coeffs = exceptional._discriminant(hermitian_example())[0]
         assert len(coeffs) == 3
         got = normalized(coeffs)
         expected = normalized([1.0, 0.0, 4.0])
@@ -202,7 +209,7 @@ class TestDiscriminant:
 
     def test_pauli_oracle(self):
         # eigenvalues +/- sqrt(1 + z^2): discriminant proportional to 1 + z^2
-        coeffs = discriminant_poly(pauli_example())
+        coeffs = exceptional._discriminant(pauli_example())[0]
         assert len(coeffs) == 3
         got = normalized(coeffs)
         expected = normalized([1.0, 0.0, 1.0])
@@ -211,7 +218,7 @@ class TestDiscriminant:
     def test_spin_one_sixth_degree(self):
         # eigenvalues m * sqrt(1 + z^2) collide only at z^2 = -1; the
         # discriminant is proportional to (1 + z^2)^3
-        coeffs = discriminant_poly(spin_pencil(2))
+        coeffs = exceptional._discriminant(spin_pencil(2))[0]
         assert len(coeffs) == 7
         expected = normalized(np.polynomial.polynomial.polypow([1.0, 0.0, 1.0], 3))
         assert np.abs(normalized(coeffs) - expected).max() < 1e-8
@@ -219,15 +226,15 @@ class TestDiscriminant:
     def test_identically_zero_signal(self):
         pencil = PencilFamily(a=CMatrix.identity(2), b=CMatrix.identity(2))
         with pytest.raises(ZeroDiscriminantError):
-            discriminant_poly(pencil)
+            exceptional._discriminant(pencil)[0]
 
     def test_spectrum_gives_the_same_discriminant(self, rng):
         # The root polish evaluates D from eigenvalues; its sign and scale
         # must match the recovered resultant.
         for n in (2, 3, 4):
             a, b = random_complex(rng, n), random_complex(rng, n)
-            coeffs = discriminant_poly(
-                PencilFamily(a=CMatrix(a), b=CMatrix(b)))
+            coeffs = exceptional._discriminant(
+                PencilFamily(a=CMatrix(a), b=CMatrix(b)))[0]
             for z in (0.3 + 0.2j, -1.1 + 0.5j):
                 expected = np.polyval(coeffs[::-1], z)
                 got = _spectral_disc(np.linalg.eigvals(a + z * b))
@@ -256,22 +263,22 @@ class TestDiscriminant:
     def test_stacked_samples_match_one_node_at_a_time(self):
         for pencil in sample_pencils():
             n = pencil.size
-            for count in (n * (n - 1) + 1, n * (n - 1) + 4):
-                coeffs, scale = exceptional._discriminant(pencil, count)
-                want, want_scale = one_node_discriminant(pencil, count)
-                assert np.array_equal(bit_pattern(coeffs), bit_pattern(want))
-                assert bit_pattern(np.float64(scale)) == \
-                    bit_pattern(np.float64(want_scale))
+            coeffs, scale = exceptional._discriminant(pencil)
+            want, want_scale = one_node_discriminant(pencil, n * (n - 1) + 1)
+            assert np.array_equal(bit_pattern(coeffs), bit_pattern(want))
+            assert bit_pattern(np.float64(scale)) == \
+                bit_pattern(np.float64(want_scale))
 
     def test_non_finite_node_matrices_are_refused(self):
         pencil = PencilFamily(a=CMatrix(1e308 * SIGMA3),
                               b=CMatrix(1e308 * SIGMA1))
         with pytest.raises(NonFiniteError):
-            discriminant_poly(pencil)
+            exceptional._discriminant(pencil)[0]
 
     def test_sample_count_invariance(self):
-        base = discriminant_poly(hermitian_example())
-        doubled = discriminant_poly(hermitian_example(), samples=2 * (len(base)))
+        # Twice the samples recover the same coefficients.
+        base = exceptional._discriminant(hermitian_example())[0]
+        doubled = doubled_count_discriminant(hermitian_example())
         assert np.abs(normalized(base) - normalized(doubled[:len(base)])).max() < 1e-10
 
 
@@ -383,13 +390,88 @@ class TestFindExceptionalPoints:
             assert c.discriminant_residual <= 1e-6
 
     def test_root_refinement_beats_sampling_noise(self):
-        # doubling the interpolation sample count moves the roots by
-        # less than 1e-8
+        # The roots of the discriminant recovered from twice the samples,
+        # found by numpy, lie within 1e-8 of the candidates.
         base = find_exceptional_points(hermitian_example())
-        dense = find_exceptional_points(hermitian_example(), samples=8)
+        dense = np.polynomial.polynomial.polyroots(
+            doubled_count_discriminant(hermitian_example()))
         assert len(base) == len(dense)
         for cb in base:
-            assert min(abs(cb.z - cd.z) for cd in dense) <= 1e-8
+            assert np.abs(cb.z - dense).min() <= 1e-8
+
+
+def located(a, b):
+    """The EPs that ``find_exceptional_points`` returns for (A, B)."""
+    pencil = PencilFamily(a=CMatrix(a), b=CMatrix(b))
+    return np.array([c.z for c in find_exceptional_points(pencil)])
+
+
+def similar(rng, a, b):
+    u = random_unitary(rng, len(a)).data
+    return u @ a @ u.conj().T, u @ b @ u.conj().T, lambda z: z
+
+
+def shifted(rng, a, b):
+    c = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    return a + c * b, b, lambda z: z - c
+
+
+# Each relation maps a pencil (A, B), with a seeded rng, to a pencil and
+# the map that takes each EP of (A, B) to one of the new pencil. Scaling
+# (aA, bB), z -> (a/b) z, is left out: the locator fails it (ROADMAP
+# item 2).
+METAMORPHIC_RELATIONS = {
+    "similarity": similar,
+    "shift": shifted,
+    "reciprocal": lambda rng, a, b: (b, a, lambda z: 1.0 / z),
+    "transpose": lambda rng, a, b: (a.T, b.T, lambda z: z),
+    "conjugate": lambda rng, a, b: (a.conj(), b.conj(), np.conj),
+}
+
+
+class TestMetamorphicRelations:
+    """Exact invariances of the EPs, at n = 2..4 on seeded complex
+    Gaussian pencils: each relation's image of the located EPs must be
+    the EPs located for the related pencil, to 1e-10 relative."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("relation", list(METAMORPHIC_RELATIONS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_locator_relation(self, relation, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, n), random_complex(rng, n)
+        a2, b2, image = METAMORPHIC_RELATIONS[relation](rng, a, b)
+        want = image(located(a, b))
+        got = located(a2, b2)
+        assert len(got) == len(want) == n * (n - 1)
+        want, got = paired_spectra(want, got)
+        assert (np.abs(got - want) <= 1e-10 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_similarity_keeps_the_monodromy(self, n, seed):
+        # A loop around the smallest EP, a third of the way to the next:
+        # a similarity keeps the permutation and the trajectories, once
+        # the sheets are paired at the start.
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, n), random_complex(rng, n)
+        a2, b2, _ = similar(rng, a, b)
+        eps = located(a, b)
+        path = PathSpec(center=eps[0], radius=np.abs(eps[1:] - eps[0]).min()
+                        / 3.0, steps=64)
+        result = trace_sheets(PencilFamily(a=CMatrix(a), b=CMatrix(b)), path)
+        other = trace_sheets(PencilFamily(a=CMatrix(a2), b=CMatrix(b2)),
+                             path)
+        first, second = map(np.array, (result.trajectories,
+                                       other.trajectories))
+        pairing = np.abs(first[0][:, None] - second[0][None, :]).argmin(axis=1)
+        assert sorted(pairing.tolist()) == list(range(n))
+        assert [pairing[k] for k in result.permutation] == \
+            [other.permutation[k] for k in pairing]
+        scale = np.abs(first).max()
+        assert np.abs(second[:, pairing] - first).max() <= 1e-10 * scale
 
 
 def analytic_sheet_swap_oracle(path):
@@ -691,6 +773,28 @@ class TestTraceSheets:
         with pytest.raises(NonFiniteError):
             pencil.at(2e298)
 
+    def test_sheet_gaps_beyond_the_float_range(self):
+        # The eigenvalues near +/- 1.5e308 (1 + i) are finite, but their
+        # differences are not: a distance beyond the float range compares
+        # as inf, with no warning, and the loop encloses no EP.
+        path = PathSpec(center=1.5e308 + 1.5e308j, radius=1.0, steps=16)
+        result = trace_sheets(hermitian_example(), path)
+        assert result.permutation == (0, 1)
+        assert np.isfinite(np.array(result.trajectories)).all()
+        assert result.closure_error <= 1e-8 * 1.5e308
+
+    def test_infinite_jump_is_far(self):
+        # Every distance within each row is beyond the float range, and so
+        # is every distance from the first value to the next row: its
+        # nearest index is arbitrary, though no two values clash, and the
+        # step must not pass.
+        big = 1.5e308
+        rows = np.array([[big, -big, big * 1j], [-big * 1j, -big, big * 1j]])
+        nearest, clash, far, jump, gap = _step_test(rows)
+        assert nearest[0].tolist() == [0, 1, 2]
+        assert not clash[0] and far[0]
+        assert jump[0] == gap[0] == np.inf
+
     def test_never_runs_the_locator(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("trace_sheets ran the EP locator")
@@ -765,10 +869,19 @@ class TestTraceSheets:
             PathSpec(center=0.0, radius=0.0, steps=64)
         with pytest.raises(ValueError):
             PathSpec(center=0.0, radius=1.0, steps=8)
+        # The extent is added in Python floats: a numpy scalar's overflow
+        # would warn, and pytest turns the warning into an error.
         for center, radius in ((0.0, np.nan), (0.0, np.inf),
                                (complex(np.nan, 0.0), 1.0),
-                               (complex(0.0, np.inf), 1.0)):
+                               (complex(0.0, np.inf), 1.0),
+                               (1.5e308, 1e308), (1.5e308j, 1e308),
+                               (-1.5e308j, 1e308),
+                               (np.complex128(1.5e308), np.float64(1e308))):
             with pytest.raises(ValueError, match="finite"):
+                PathSpec(center=center, radius=radius, steps=64)
+        PathSpec(center=1.5e308 + 1.5e308j, radius=1e307, steps=64)
+        for center, radius in (("1", 1.0), (0.0, "1")):
+            with pytest.raises(TypeError):
                 PathSpec(center=center, radius=radius, steps=64)
         with pytest.raises(ValueError, match="turns"):
             PathSpec(center=0.0, radius=1.0, steps=64, turns=0)
