@@ -121,7 +121,7 @@ class CMatrix:
         data = np.array(entries, dtype=complex, copy=True)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"expected a 2-d matrix, got shape {data.shape}")
-        if not np.all(np.isfinite(data.real)) or not np.all(np.isfinite(data.imag)):
+        if not np.isfinite(data).all():
             raise NonFiniteError("matrix entries must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "_data", data)

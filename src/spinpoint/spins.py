@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
-from .cmatrix import CMatrix, adjoint
+from .cmatrix import CMatrix
 
 __all__ = ["Spin", "SpinMatrices", "parse_spin", "ladder_plus",
            "spin_matrices", "nonnormal_hamiltonian"]
@@ -27,9 +28,12 @@ class Spin:
     twice_spin: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_spin, int) or self.twice_spin < 1:
+        twice = self.twice_spin
+        if (isinstance(twice, bool) or not isinstance(twice, Integral)
+                or twice < 1):
             raise ValueError(f"invalid spin: twice_spin must be a positive "
-                             f"integer, got {self.twice_spin!r}")
+                             f"integer, got {twice!r}")
+        object.__setattr__(self, "twice_spin", int(twice))
 
     @property
     def value(self) -> float:
@@ -90,33 +94,28 @@ def ladder_coefficients(s: Spin) -> np.ndarray:
     return np.sqrt((s.value - m) * (s.value + m + 1.0))
 
 
-def ladder_plus(s: Spin) -> CMatrix:
-    """Raising operator: superdiagonal sqrt((s-m)(s+m+1)) in the
-    m-descending basis."""
-    n = s.dimension
-    coeff = ladder_coefficients(s)
-    mat = np.zeros((n, n), dtype=complex)
-    for p in range(1, n):
-        mat[p - 1, p] = coeff[p - 1]
-    return CMatrix(mat)
-
-
-def spin_matrices(s: Spin) -> SpinMatrices:
-    """Construct s_plus, s_minus, s1, s2, s3 for the given spin.
+def _operators(s: Spin) -> tuple:
+    """Raw s_plus, s_minus, s1, s2, s3 arrays of one spin.
 
     s_minus is the exact adjoint of s_plus; s1 and s2 are hermitian with
     exactly equal stored values across the diagonal; s3 is diagonal with
     entries s, s-1, ..., -s.
     """
-    s_plus = ladder_plus(s)
-    s_minus = adjoint(s_plus)
-    sp = s_plus.data
-    sm = s_minus.data
-    s1 = CMatrix((sp + sm) / 2.0)
-    s2 = CMatrix(-0.5j * (sp - sm))
-    s3 = CMatrix(np.diag(s.magnetic_numbers().astype(complex)))
-    return SpinMatrices(spin=s, s_plus=s_plus, s_minus=s_minus,
-                        s1=s1, s2=s2, s3=s3)
+    sp = np.diag(ladder_coefficients(s), 1).astype(complex)
+    sm = sp.conj().T
+    return (sp, sm, (sp + sm) / 2.0, -0.5j * (sp - sm),
+            np.diag(s.magnetic_numbers().astype(complex)))
+
+
+def ladder_plus(s: Spin) -> CMatrix:
+    """Raising operator: superdiagonal sqrt((s-m)(s+m+1)) in the
+    m-descending basis."""
+    return CMatrix(_operators(s)[0])
+
+
+def spin_matrices(s: Spin) -> SpinMatrices:
+    """Construct s_plus, s_minus, s1, s2, s3 for the given spin."""
+    return SpinMatrices(s, *map(CMatrix, _operators(s)))
 
 
 def nonnormal_hamiltonian(s: Spin, axis: int, z: complex) -> CMatrix:
@@ -126,6 +125,5 @@ def nonnormal_hamiltonian(s: Spin, axis: int, z: complex) -> CMatrix:
     """
     if axis not in (1, 2):
         raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
-    mats = spin_matrices(s)
-    transverse = mats.s1 if axis == 1 else mats.s2
-    return CMatrix(mats.s3.data + complex(z) * transverse.data)
+    _, _, s1, s2, s3 = _operators(s)
+    return CMatrix(s3 + complex(z) * (s1 if axis == 1 else s2))

@@ -45,14 +45,17 @@ def test_criterion_01_kernel_vectors_match_printed():
 
 @pytest.mark.parametrize("axis", [1, 2])
 def test_criterion_02_nilpotency_hierarchy(axis):
-    for twice in range(1, 26):
+    for twice in range(1, 41):
         n = twice + 1
-        report = nilpotency_report(spin_hamiltonian(twice, axis))
+        h = spin_hamiltonian(twice, axis)
+        report = nilpotency_report(h)
         assert report.is_nilpotent, f"twice_spin={twice}"
         assert report.index == n
         assert report.rank_chain == tuple(range(n - 1, -1, -1))
         solution = kernel_vector(Spin(twice), axis)
         assert solution.residual <= 1e-10 * n
+        assert sp.verify_uniqueness(Spin(twice), axis)
+        assert len(sp.nullspace(h)) == 1
 
 
 def test_criterion_03_algebra_invariants():

@@ -21,6 +21,17 @@ class TestConstruction:
             CMatrix([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(NonFiniteError):
             CMatrix([[0.0, complex(0, np.nan)], [0.0, 1.0]])
+        for entry in (complex(0.0, -np.inf), complex(np.nan, 0.0),
+                      complex(np.inf, np.nan)):
+            with pytest.raises(NonFiniteError):
+                CMatrix([[1.0, 0.0], [0.0, entry]])
+
+    @pytest.mark.parametrize("entry", [
+        1.7e308, -1.7e308, complex(0.0, 1.7e308), complex(-1.7e308, -1.7e308),
+        5e-324, complex(0.0, -5e-324),
+    ])
+    def test_accepts_extreme_finite(self, entry):
+        assert CMatrix([[1.0, 0.0], [0.0, entry]]).data[1, 1] == entry
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

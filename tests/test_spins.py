@@ -1,17 +1,34 @@
 """Spin-operator construction against the printed low-spin matrices and
 the general algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
 import spinpoint as sp
 from spinpoint import CMatrix, Spin, parse_spin
 
-from conftest import SIGMA1, SIGMA2, SIGMA3
+from conftest import SIGMA1, SIGMA2, SIGMA3, bit_pattern
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 SQRT6 = np.sqrt(6.0)
+
+BUILDER_SPINS = list(range(1, 51))
+BUILDER_COUPLINGS = [1j, 0.3 - 2j, 1e5 + 1e-3j, 0]
+
+
+def ladder_plus_reference(twice):
+    """Reference: the raising operator filled entry by entry, each
+    coefficient sqrt((s-m)(s+m+1)) formed on scalars for m = s - p."""
+    n = twice + 1
+    s = twice / 2.0
+    mat = np.zeros((n, n), dtype=complex)
+    for p in range(1, n):
+        m = s - p
+        mat[p - 1, p] = math.sqrt((s - m) * (s + m + 1.0))
+    return mat
 
 
 class TestSpinType:
@@ -24,6 +41,16 @@ class TestSpinType:
             Spin(0)
         with pytest.raises(ValueError):
             Spin(-2)
+        for value in (True, False, 3.0, "3", None):
+            with pytest.raises(ValueError):
+                Spin(value)
+
+    def test_numpy_integer_is_a_python_int(self):
+        spin = Spin(np.int64(3))
+        assert spin == Spin(3)
+        assert hash(spin) == hash(Spin(3))
+        assert type(spin.twice_spin) is int
+        assert str(spin) == "3/2"
 
     @pytest.mark.parametrize("text,twice", [
         ("1/2", 1), ("0.5", 1), ("1", 2), ("3/2", 3), ("1.5", 3),
@@ -50,6 +77,12 @@ class TestLadder:
     def test_spin_three_half_superdiagonal(self):
         got = sp.ladder_plus(Spin(3)).data
         assert np.allclose(np.diag(got, 1), [SQRT3, 2.0, SQRT3])
+
+    @pytest.mark.parametrize("twice", BUILDER_SPINS)
+    def test_matches_entrywise_reference(self, twice):
+        got = sp.ladder_plus(Spin(twice)).data
+        assert np.array_equal(bit_pattern(got),
+                              bit_pattern(ladder_plus_reference(twice)))
 
     def test_first_entry_is_sqrt_twice_spin(self):
         for twice in (1, 2, 5, 11):
@@ -125,6 +158,35 @@ class TestAlgebraInvariants:
             assert np.array_equal(m.data, m.data.conj().T)
         h = sp.nonnormal_hamiltonian(Spin(twice), 1, 1j)
         assert sp.trace(h) == 0.0
+
+
+class TestBuilderBits:
+    """Every operator keeps the bits of its defining expression on the
+    entrywise raising operator, signed zeros included."""
+
+    @pytest.mark.parametrize("twice", BUILDER_SPINS)
+    def test_spin_matrices(self, twice):
+        plus = ladder_plus_reference(twice)
+        minus = plus.conj().T
+        magnetic = twice / 2.0 - np.arange(twice + 1)
+        expected = (plus, minus, (plus + minus) / 2.0,
+                    -0.5j * (plus - minus),
+                    np.diag(magnetic.astype(complex)))
+        mats = sp.spin_matrices(Spin(twice))
+        assert mats.spin == Spin(twice)
+        got = (mats.s_plus, mats.s_minus, mats.s1, mats.s2, mats.s3)
+        for g, e in zip(got, expected):
+            assert np.array_equal(bit_pattern(g.data), bit_pattern(e))
+
+    @pytest.mark.parametrize("twice", BUILDER_SPINS)
+    def test_nonnormal_hamiltonian(self, twice):
+        mats = sp.spin_matrices(Spin(twice))
+        for axis, transverse in ((1, mats.s1), (2, mats.s2)):
+            for z in BUILDER_COUPLINGS:
+                got = sp.nonnormal_hamiltonian(Spin(twice), axis, z).data
+                expected = mats.s3.data + complex(z) * transverse.data
+                assert np.array_equal(bit_pattern(got),
+                                      bit_pattern(expected)), (axis, z)
 
 
 class TestNonnormalFamily:
