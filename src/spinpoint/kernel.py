@@ -1,11 +1,13 @@
-"""Closed-form null vector of s3 + i * s_axis by the row recurrence.
+"""Closed-form null vector of s3 + i * s_axis by the two-term ladder ratio.
 
-The matrix is tridiagonal in the m-descending basis, so fixing the last
-component to 1 lets each row from the bottom up determine the component
-above it; the top row is left over and its residual certifies
-consistency. The subdiagonal coefficients never vanish, so the
-recurrence has no breakdown and exhibits the uniqueness of the
-eigenvector directly.
+With the last component fixed to 1 the null vector is the binomial
+(spin coherent) state v[n-1-j] = c^j sqrt(binom(2s, j)), c = -i for axis
+1 and -1 for axis 2. It is formed going up as one cumulative product of
+the ratios v[n-2-j] / v[n-1-j] = c sqrt((2s - j) / (j + 1)), so each
+component carries one rounding more than the one below it. No ratio
+vanishes, which exhibits the uniqueness of the null vector directly; the
+top-row equation, evaluated on the raw vector, certifies consistency.
+||raw_vector||_2 = 2**s, representable through 2s = 2047.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import DEFAULT_TOLERANCE, Tolerance, rank
+from .cmatrix import DEFAULT_TOLERANCE, Tolerance, _frobenius, rank
+from .errors import NonFiniteError
 from .spins import Spin, nonnormal_hamiltonian
 
 __all__ = ["KernelSolution", "kernel_vector", "verify_uniqueness"]
@@ -27,7 +30,7 @@ class KernelSolution:
     ``vector`` is normalized with the last component real positive;
     ``raw_vector`` has last component exactly 1. ``residual`` is
     ||(s3 + i s_axis) vector||_2; ``consistency`` is the modulus of the
-    unused top-row equation evaluated on the raw vector, divided by
+    top-row equation evaluated on the raw vector, divided by
     ||raw_vector||_2 so it is comparable across spins.
     """
 
@@ -39,38 +42,30 @@ class KernelSolution:
     consistency: float
 
 
-def _recurrence(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    n = matrix.shape[0]
-    v = np.zeros(n, dtype=complex)
-    v[n - 1] = 1.0
-    if n > 1:
-        v[n - 2] = -matrix[n - 1, n - 1] / matrix[n - 1, n - 2]
-    for r in range(n - 2, 0, -1):
-        v[r - 1] = -(matrix[r, r] * v[r] + matrix[r, r + 1] * v[r + 1]) \
-            / matrix[r, r - 1]
-    top = matrix[0, 0] * v[0]
-    if n > 1:
-        top += matrix[0, 1] * v[1]
-    return v, abs(top)
-
-
 def kernel_vector(s: Spin, axis: int) -> KernelSolution:
-    """Solve (s3 + i * s_axis) v = 0 by the bottom-up recurrence.
+    """Solve (s3 + i * s_axis) v = 0 by the ladder ratio, bottom up.
 
-    The raw recurrence runs unnormalized (components grow combinatorially
-    with spin) and is scaled once at the end; the normalized vector's
-    last component is real positive by construction.
+    The raw vector runs unnormalized (its norm is 2**s) and is scaled
+    once at the end; the normalized vector's last component is real
+    positive by construction. Raises ``NonFiniteError`` for 2s > 2047,
+    where 2**s overflows, before any matrix is built.
     """
     if axis not in (1, 2):
         raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
-    h = nonnormal_hamiltonian(s, axis, 1j)
-    raw, top_residual = _recurrence(h.data)
-    raw_norm = float(np.linalg.norm(raw))
+    if s.value >= np.finfo(float).maxexp:
+        raise NonFiniteError(f"kernel vector of spin {s} is not representable:"
+                             f" its raw norm 2**s overflows (2s <= 2047)")
+    j = np.arange(s.twice_spin)
+    ratios = (-1j if axis == 1 else -1.0 + 0j) \
+        * np.sqrt((s.twice_spin - j) / (j + 1.0))
+    raw = np.append(np.cumprod(ratios)[::-1], 1.0)
+    raw_norm = _frobenius(raw[None])
     vector = raw / raw_norm
-    residual = float(np.linalg.norm(h.data @ vector))
+    h = nonnormal_hamiltonian(s, axis, 1j).data
+    residual = float(np.linalg.norm(h @ vector))
     return KernelSolution(spin=s, axis=axis, vector=vector, raw_vector=raw,
                           residual=residual,
-                          consistency=top_residual / raw_norm)
+                          consistency=abs(h[0, :2] @ raw[:2]) / raw_norm)
 
 
 def verify_uniqueness(s: Spin, axis: int,

@@ -160,6 +160,12 @@ class TestKernel:
         assert code == 1
         assert err.startswith("invalid-axis:")
 
+    def test_overflowing_spin(self, run):
+        code, out, err = run("kernel", "--twice-spin", "2048", "--axis", "1")
+        assert code == 1
+        assert err.startswith("non-finite:")
+        assert out == ""
+
 
 class TestPencilCommands:
     @pytest.fixture

@@ -1,5 +1,6 @@
-"""Null-vector recurrence against the printed vectors and the structural
-invariants of the whole hierarchy."""
+"""The ladder-ratio null vector against the printed vectors, the
+structural invariants of the whole hierarchy, numpy's SVD null vector as
+an independent oracle, and the edge of its representable range."""
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ class TestPrintedVectors:
         assert solution.vector[-1].imag == 0.0
 
     def test_first_recurrence_step(self):
-        # the bottom row forces v_{-s+1} = -i 2s / sqrt(2s)
+        # the first ladder ratio, -i sqrt(2s / 1), is the v_{-s+1} that
+        # the bottom row forces: -i 2s / sqrt(2s)
         for twice in (1, 2, 3, 4, 9):
             s = twice / 2.0
             solution = kernel_vector(Spin(twice), 1)
@@ -78,6 +80,50 @@ class TestHierarchyInvariants:
         assert len(basis) == 1
         v = kernel_vector(Spin(twice), axis).vector
         assert abs(np.vdot(v, basis[0])) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("twice", list(range(1, 101)))
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_residuals_through_100(self, twice, axis):
+        n = twice + 1
+        solution = kernel_vector(Spin(twice), axis)
+        assert solution.residual <= 1e-10 * n
+        assert solution.consistency <= 1e-10 * n
+        assert solution.raw_vector[-1] == 1.0
+        assert verify_uniqueness(Spin(twice), axis)
+
+    @pytest.mark.parametrize("twice", [26, 47, 48, 60, 100, 150, 200])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_svd_null_vector(self, twice, axis):
+        h = sp.nonnormal_hamiltonian(Spin(twice), axis, 1j).data
+        _, singular, vh = np.linalg.svd(h)
+        assert singular[-1] <= 1e-10 * (twice + 1) < 0.5 <= singular[-2]
+        v = kernel_vector(Spin(twice), axis).vector
+        assert phase_aligned_distance(v, vh[-1].conj()) <= 1e-12
+
+
+class TestRepresentableRange:
+    # ||raw_vector||_2 = 2**s: np.linalg.norm of the raw vector overflows
+    # from 2s = 1025, 2**s itself from 2s = 2048, and a component from
+    # 2s = 2054.
+    @pytest.mark.parametrize("twice", [571, 572, 1000, 1025, 2047])
+    def test_large_spins(self, twice):
+        n = twice + 1
+        solution = kernel_vector(Spin(twice), 1)
+        assert solution.residual <= 1e-10 * n
+        assert solution.consistency <= 1e-10 * n
+        assert solution.raw_vector[-1] == 1.0
+        assert np.isfinite(solution.raw_vector).all()
+        assert np.linalg.norm(solution.vector) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("twice", [2048, 2054])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_overflow_raises_before_building_the_matrix(self, twice, axis,
+                                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("matrix built for a non-representable spin")
+        monkeypatch.setattr(sp.kernel, "nonnormal_hamiltonian", refuse)
+        with pytest.raises(sp.NonFiniteError, match="2s <= 2047"):
+            kernel_vector(Spin(twice), axis)
 
 
 class TestUniqueness:
