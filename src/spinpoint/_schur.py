@@ -24,11 +24,11 @@ place. Before each sweep, every matrix deflates all the trailing
 entries that have become negligible in one step. Both loops share the
 Hessenberg reduction and the deflation test.
 
-Both loops first scale each matrix by the power of two that brings its
-largest real or imaginary entry into [0.5, 1), and scale the result
-back. That is exact: it changes no result that stays clear of overflow
-and underflow, and squared norms neither overflow nor underflow for
-entries anywhere in the floating-point range.
+Both loops first scale each matrix by ``_unit_scale``, as every rank and
+normality verdict does, and scale the result back. That is exact: it
+changes no result that stays clear of overflow and underflow, and
+squared norms neither overflow nor underflow for entries anywhere in the
+floating-point range.
 """
 
 from __future__ import annotations
@@ -59,21 +59,22 @@ def _norms(x: np.ndarray) -> np.ndarray:
                    + im @ np.swapaxes(im, -1, -2))[..., 0]
 
 
-def _binary_exponent(a: np.ndarray) -> np.ndarray:
-    """Per matrix of ``a`` (shape ``(..., n, n)``), the exponent e with its
-    largest ``|re|`` or ``|im|`` entry in [2**(e - 1), 2**e); 0 for a zero
-    matrix."""
-    # The float view interleaves each entry's real and imaginary parts.
-    big = abs(np.ascontiguousarray(a).view(float)).max(axis=(-2, -1))
-    return np.frexp(big)[1]
-
-
 def _ldexp(x: np.ndarray, e) -> np.ndarray:
     """``x * 2**e`` for complex ``x``, exact unless it over- or underflows."""
     out = np.empty(np.shape(x), dtype=complex)
     out.real = np.ldexp(x.real, e)
     out.imag = np.ldexp(x.imag, e)
     return out
+
+
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, 2**-e a)`` per matrix of ``a`` (shape ``(..., rows, cols)``),
+    e putting the largest ``|re|`` or ``|im|`` entry of ``2**-e a`` in
+    [0.5, 1); 0 for a zero matrix. Exact unless an entry underflows."""
+    # The float view interleaves each entry's real and imaginary parts.
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    e = np.frexp(abs(parts).max(axis=(-2, -1)))[1]
+    return e, np.ldexp(parts, -e[..., None, None]).view(complex)
 
 
 def hessenberg(a: np.ndarray, want_q: bool = True
@@ -156,8 +157,8 @@ def schur_decompose(a: np.ndarray, want_q: bool = True
         block index.
     """
     n = a.shape[0]
-    e = _binary_exponent(a)
-    h, q = hessenberg(_ldexp(a, -e), want_q)
+    e, scaled = _unit_scale(a)
+    h, q = hessenberg(scaled, want_q)
     floor = _EPS * float(np.linalg.norm(h))
     rows = h.tolist()
     q_rows = None if q is None else q.tolist()
@@ -281,8 +282,8 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         block's index.
     """
     count, n = a.shape[0], a.shape[-1]
-    e = _binary_exponent(a)
-    h, _ = hessenberg(_ldexp(a, -e[:, None, None]), want_q=False)
+    e, scaled = _unit_scale(a)
+    h, _ = hessenberg(scaled, want_q=False)
     floor = _EPS * _norms(h.reshape(count, n * n))[:, 0]
     # Matrix index last: h[i, j] is entry (i, j) of every matrix.
     h = np.ascontiguousarray(h.transpose(1, 2, 0))

@@ -3,9 +3,10 @@
 Normality of a hermitian pair (A, B) is decided by the normality test
 of A + iB alone; the commutator criterion ||[A, B]|| = 0, equal to it in
 exact arithmetic, serves only as an oracle in the tests. The normality
-and hermiticity tests run on the matrix scaled by a power of two to unit
-entries, so their verdicts do not depend on the scale. ``sweep_phi``
-tabulates the family sigma3 + e^{i phi} sigma1 over phi in [0, pi/2].
+and hermiticity tests, like every rank, run on the matrix scaled by a
+power of two to unit entries, so their verdicts do not depend on the
+scale. ``sweep_phi`` tabulates the family sigma3 + e^{i phi} sigma1 over
+phi in [0, pi/2].
 
 The nilpotency decision intentionally combines two tests: an
 eigenvalue-modulus test and a power-decay test. Either alone
@@ -16,11 +17,12 @@ is a Jordan structure, which a small scaled identity, passing both
 tests, does not. The powers are formed first, of A scaled by the exact
 power of two that brings its largest entry into [0.5, 1), so they
 neither overflow nor underflow; the chain comes from one full-pivot
-elimination that reduces the whole stack in lockstep. The eigenvalue
-test rarely needs eigenvalues: the same powers prove an upper bound on
-the spectral radius, since rho(A) <= ||A^k||_F^(1/k) for every k
-(Horn and Johnson, *Matrix Analysis*, 5.6.9), with the rounding of each
-computed product bounded as in Higham, *Accuracy and Stability of
+elimination that reduces the whole stack in lockstep, scale-free like
+``rank``. The two thresholds below still depend on the scale of A. The
+eigenvalue test rarely needs eigenvalues: the same powers prove an upper
+bound on the spectral radius, since rho(A) <= ||A^k||_F^(1/k) for every
+k (Horn and Johnson, *Matrix Analysis*, 5.6.9), with the rounding of
+each computed product bounded as in Higham, *Accuracy and Stability of
 Numerical Algorithms*, sections 3.5-3.6. When that bound is under the
 threshold the test passes with no QR solve; otherwise the computed
 eigenvalues decide. The thresholds below were calibrated on the spin
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schur import _binary_exponent, _ldexp
+from ._schur import _unit_scale
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
                       _full_pivot_eliminate, eigenvalues, frobenius_norm,
                       schur)
@@ -111,15 +113,12 @@ def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool, bool]:
     """The defect ||A A* - A* A||_F, whether it is within tolerance, and
     whether ||A - A*||_F is.
 
-    All three are taken from B = 2**-e A, e from ``_binary_exponent``:
-    the tolerance has an absolute part, and the normality defect is
-    quadratic in A, so both verdicts are those of B, whose largest entry
-    lies in [0.5, 1), and neither changes when A is scaled by a power of
-    two. The defect of A is that of B scaled back by 2**(2 e), exactly
-    unless it overflows to inf.
+    All three are taken from B = 2**-e A of ``_unit_scale`` against
+    ``tol.effective(B)``, as every verdict is, so neither verdict changes
+    when A is scaled by a power of two. The defect, quadratic in A, is
+    that of B scaled back by 2**(2 e), exactly unless it overflows to inf.
     """
-    e = int(_binary_exponent(a.data))
-    b = _ldexp(a.data, -e)
+    e, b = _unit_scale(a.data)
     b_h = b.conj().T
     defect = _frobenius(b @ b_h - b_h @ b)
     threshold = tol.effective(b)
@@ -179,8 +178,8 @@ def _eigenvalue_scatter_threshold(a: CMatrix) -> float:
 
 def _scaled_powers(a: CMatrix
                    ) -> tuple[int, np.ndarray, list[float], int | None]:
-    """Powers of B = 2**-e A, e from ``_binary_exponent``, up to the
-    first that is numerically zero.
+    """Powers of B = 2**-e A of ``_unit_scale``, up to the first that is
+    numerically zero.
 
     Returns e, the stack of computed powers P_k = fl(P_(k-1) B), their
     Frobenius norms and the index k of the zero power (None when none
@@ -190,8 +189,7 @@ def _scaled_powers(a: CMatrix
     the one the powers of A would give.
     """
     n = a.rows
-    e = int(_binary_exponent(a.data))
-    b = _ldexp(a.data, -e)
+    e, b = _unit_scale(a.data)
     powers = np.empty((n, n, n), dtype=complex)
     current = np.eye(n, dtype=complex)
     running_max = 0.0
@@ -243,16 +241,15 @@ def nilpotency_report(a: CMatrix,
     The powers are those of ``_scaled_powers``; a matrix none of whose
     powers vanishes is rejected before any eigen-solve. The genuine
     powers B^1 .. B^(index-1) are ranked by one lockstep full-pivot
-    elimination, each against ``tol.effective(A^k)`` scaled by
-    2**(-e k), that is ``ldexp(tol.absolute, -e k) + tol.relative * n *
-    ||B^k||_F``: the ranks ``rank`` would give the powers of A. The
-    terminal zero power contributes rank 0. With r_0 = n, its Weyr
-    characteristic r_{k-1} - r_k (the number of Jordan blocks of size
-    >= k) must be >= 1 and nonincreasing; a scaled identity, whose
-    powers decay without vanishing, fails that. The eigenvalue test
-    passes without a QR solve when ``_radius_bound``, a proof that
-    rho(A) lies below it, is under the threshold; only otherwise are
-    the computed eigenvalues compared against it.
+    elimination, which scales each to unit entries as ``rank`` does: the
+    ranks ``rank`` would give the powers of A. The terminal zero power
+    contributes rank 0. With r_0 = n, its Weyr characteristic
+    r_{k-1} - r_k (the number of Jordan blocks of size >= k) must be
+    >= 1 and nonincreasing; a scaled identity, whose powers decay
+    without vanishing, fails that. The eigenvalue test passes without a
+    QR solve when ``_radius_bound``, a proof that rho(A) lies below it,
+    is under the threshold; only otherwise are the computed eigenvalues
+    compared against it.
     """
     a.require_square("nilpotency_report")
     n = a.rows
@@ -261,11 +258,7 @@ def nilpotency_report(a: CMatrix,
     e, powers, norms, index = _scaled_powers(a)
     if index is None:
         return not_nilpotent
-    # A threshold that overflows is infinite: every pivot counts as zero.
-    with np.errstate(over="ignore"):
-        thresholds = [np.ldexp(tol.absolute, -e * k) + tol.relative * n * nrm
-                      for k, nrm in enumerate(norms[:index - 1], 1)]
-    chain = _full_pivot_eliminate(powers[:index - 1], thresholds)[1] + [0]
+    chain = _full_pivot_eliminate(powers[:index - 1], tol)[1] + [0]
     weyr = -np.diff([n] + chain)
     if weyr.min() < 1 or (np.diff(weyr) > 0).any():
         return not_nilpotent

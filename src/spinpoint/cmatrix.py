@@ -18,12 +18,11 @@ The two eliminations and the recursion each run a stack of matrices in
 lockstep, each matrix getting the arithmetic it would get alone, bit for
 bit:
 
-- The full-pivot elimination takes one threshold per matrix; a matrix
-  leaves the working stack at its first pivot at or below its
-  threshold. ``rank`` and ``nullspace`` pass a stack of one, and callers
-  that need many ranks at once (the rank chain of ``nilpotency_report``,
-  the geometric multiplicities of the EP locator) pass them all in one
-  call.
+- The full-pivot elimination stops a matrix, scaled to unit entries, at
+  its first pivot at or below the tolerance for it. ``rank`` and
+  ``nullspace`` pass a stack of one, and callers that need many ranks at
+  once (the rank chain of ``nilpotency_report``, the geometric
+  multiplicities of the EP locator) pass them all in one call.
 - The partially pivoted LU behind ``det`` drops a matrix from the
   working stack at its first exactly zero pivot column (det 0). Each
   determinant is the product of its pivots formed on scalars, in
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schur import _binary_exponent, _ldexp, schur_decompose
+from ._schur import _norms, _unit_scale, schur_decompose
 from .errors import DimensionError, NonFiniteError
 
 __all__ = [
@@ -68,8 +67,8 @@ def _frobenius(x: np.ndarray) -> float:
     big = np.abs(x).max()
     if _SQUARE_SAFE_MIN <= big <= _SQUARE_SAFE_MAX or big == 0.0:
         return float(np.linalg.norm(x))
-    e = _binary_exponent(x)
-    return float(np.ldexp(np.linalg.norm(_ldexp(x, -e)), e))
+    e, scaled = _unit_scale(x)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,9 @@ class Tolerance:
     """Absolute/relative tolerance pair.
 
     The effective threshold for an n x n matrix A is
-    ``absolute + relative * n * ||A||_F``.
+    ``absolute + relative * n * ||A||_F``. Every rank and normality
+    verdict applies it to A scaled to unit entries (``_unit_scale``), so
+    the absolute part is measured in the binade of A's largest entry.
     """
 
     absolute: float = 1e-12
@@ -325,29 +326,34 @@ def _det_lu(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _full_pivot_eliminate(a: np.ndarray, thresholds: list[float]
+def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
                           ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Gaussian elimination with full pivoting of an ``(N, rows, cols)``
     stack, run in lockstep.
 
-    Matrix k stops at its first pivot at or below ``thresholds[k]`` and
-    leaves the working stack. A step takes the first entry of largest
-    modulus of each trailing block, in row-major order, swaps its row and
-    column into place and subtracts the broadcast product of the pivot
-    row and the multipliers from the rows below, so each matrix gets the
-    arithmetic it would get alone.
+    Each matrix A is eliminated as B = 2**-e A of ``_unit_scale``, and
+    stops at its first pivot at or below ``max(tol.absolute, 2**-e floor)
+    + tol.relative * n * ||B||_F`` (``tol.effective(B)`` for floor 0);
+    ``floors``, in the units of A, is one per matrix or one for all. A
+    step takes the first entry of largest modulus of each trailing block,
+    in row-major order, swaps its row and column into place and subtracts
+    the broadcast product of the pivot row and the multipliers from the
+    rows below, so each matrix gets the arithmetic it would get alone.
 
-    Returns the reduced matrices (each upper triangular in its leading
+    Returns the reduced matrices B (each upper triangular in its leading
     r x r block), the ranks r and the column permutations applied to
     reach them.
     """
     count, rows, cols = a.shape
+    e, scaled = _unit_scale(a)
+    norms = _norms(scaled.reshape(count, rows * cols))[:, 0]
+    limit = (np.maximum(tol.absolute, np.ldexp(floors, -e))
+             + tol.relative * max(rows, cols) * norms)
     # Row `rows` carries the column labels, so column swaps move them.
     out = np.empty((count, rows + 1, cols), dtype=complex)
-    out[:, :rows] = a
+    out[:, :rows] = scaled
     out[:, rows] = np.arange(cols)
     ranks = [min(rows, cols)] * count
-    limit = np.asarray(thresholds, dtype=float)
     # live: the stack index of each working matrix; every: 0..len(live)-1.
     live = every = np.arange(count)
     work = out
@@ -383,10 +389,10 @@ def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Numerical rank via Gaussian elimination with full pivoting, the
     lockstep elimination run on a stack of one.
 
-    Pivots at or below the effective threshold
-    ``tol.absolute + tol.relative * n * ||A||_F`` count as zero.
+    Pivots at or below ``tol.effective`` of A scaled to unit entries
+    count as zero, so ``2**k A`` has the rank of A.
     """
-    return _full_pivot_eliminate(a.data[None], [tol.effective(a)])[1][0]
+    return _full_pivot_eliminate(a.data[None], tol)[1][0]
 
 
 def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray]:
@@ -394,11 +400,11 @@ def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray
 
     The lockstep full-pivot elimination on a stack of one, with the
     column permutation it returns; one normalized vector per free
-    column. The basis spans the null space but is not orthogonalized
-    (callers needing projections should orthonormalize).
+    column; ``2**k A`` gets the vectors of A, bit for bit. The basis
+    spans the null space but is not orthogonalized (callers needing
+    projections should orthonormalize).
     """
-    reduced, ranks, colperms = _full_pivot_eliminate(a.data[None],
-                                                     [tol.effective(a)])
+    reduced, ranks, colperms = _full_pivot_eliminate(a.data[None], tol)
     m, r, colperm = reduced[0], ranks[0], colperms[0]
     cols = a.cols
     basis = []

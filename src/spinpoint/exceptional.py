@@ -371,7 +371,7 @@ def find_exceptional_points(pencil: PencilFamily,
     n = pencil.size
     norm_a = frobenius_norm(pencil.a)
     norm_b = frobenius_norm(pencil.b)
-    fields, shifted, thresholds = [], [], []
+    fields, shifted, floors = [], [], []
     for z, eigs, converged in _locate(pencil, coeffs, roots):
         e = _closest_pair_mean(eigs)
         gap = float(_min_gap(eigs))
@@ -384,11 +384,10 @@ def find_exceptional_points(pencil: PencilFamily,
             discriminant_residual=disc_residual, newton_converged=converged,
             accepted=accepted))
         shifted.append(pencil.at(z).data - e * np.eye(n))
-        thresholds.append(Tolerance(
-            absolute=max(tol.absolute, 10.0 * gap),
-            relative=tol.relative).effective(shifted[-1]))
-    # The geometric ranks of H(z) - E, all candidates in one elimination.
-    ranks = _full_pivot_eliminate(np.array(shifted), thresholds)[1]
+        floors.append(10.0 * gap)
+    # The geometric ranks of H(z) - E, pivots up to 10 gap counting as
+    # zero, all candidates in one elimination.
+    ranks = _full_pivot_eliminate(np.array(shifted), tol, floors)[1]
     candidates = [EPCandidate(geometric_multiplicity=n - r, **f)
                   for f, r in zip(fields, ranks)]
     candidates.sort(key=lambda c: (abs(c.z), np.angle(c.z)))

@@ -269,7 +269,8 @@ class TestNilpotency:
 def gate_first_oracle(a, tol=sp.DEFAULT_TOLERANCE):
     """Independent check: the nilpotency decision made the way it was
     before the power bound. The computed eigenvalues gate first, then the
-    powers of A itself, unscaled, each ranked against tol.effective(A^k).
+    powers of A itself, unscaled, each ranked by the full-pivot
+    elimination, which applies tol to the power scaled to unit entries.
     Returns (is_nilpotent, index, rank_chain)."""
     n = a.rows
     if np.abs(sp.eigenvalues(a)).max() > _eigenvalue_scatter_threshold(a):
@@ -283,8 +284,7 @@ def gate_first_oracle(a, tol=sp.DEFAULT_TOLERANCE):
         running_max = max(running_max, nrm)
         if nrm <= POWER_ZERO_RATIO * running_max:
             genuine = powers[:k - 1]
-            chain = _full_pivot_eliminate(
-                genuine, [tol.effective(p) for p in genuine])[1] + [0]
+            chain = _full_pivot_eliminate(genuine, tol)[1] + [0]
             weyr = -np.diff([n] + chain)
             if weyr.min() < 1 or (np.diff(weyr) > 0).any():
                 return False, None, ()
@@ -327,6 +327,48 @@ def rank_one_nilpotent(rng, n):
     """x y^T with y^T x = 0 up to rounding."""
     x, z = random_complex(rng, 2, n)
     return np.outer(x, z - x * ((x @ z) / (x @ x)))
+
+
+class TestScaleFreeVerdicts:
+    """The verdicts that changed when every rank came to be taken on the
+    matrix scaled to unit entries. Each was wrong while the absolute
+    tolerance was applied in the units of A."""
+
+    @pytest.mark.parametrize("n,c", [(2, 1e-300), (2, 1e-320), (3, 1e-7),
+                                     (3, 1e-6), (4, 1e-4)])
+    def test_small_jordan_block_is_nilpotent(self, n, c):
+        report = sp.nilpotency_report(CMatrix(c * np.eye(n, k=1)))
+        assert report.is_nilpotent
+        assert report.index == n
+        assert report.rank_chain == tuple(range(n - 1, -1, -1))
+
+    def test_noisy_similar_jordan_block_is_nilpotent(self):
+        # Oracle case 648: u J_6 u^-1 plus 1e-12 noise, u non-unitary.
+        report = sp.nilpotency_report(oracle_cases()[648])
+        assert report.is_nilpotent
+        assert report.index == 6
+        assert report.rank_chain == (5, 4, 3, 2, 1, 0)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-320])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_tiny_identity_and_jordan_ranks(self, n, c):
+        assert sp.rank(CMatrix(c * np.eye(n))) == n
+        assert sp.rank(CMatrix(c * np.eye(n, k=1))) == n - 1
+
+    def test_noisy_three_by_three_has_full_rank(self):
+        # Oracle case 328: a 3x3 plus 1e-12 noise; its smallest pivot
+        # clears the threshold once the absolute part is in the binade of
+        # its largest entry.
+        assert sp.rank(oracle_cases()[328]) == 3
+
+    def test_tiny_jordan_powers_keep_their_ranks(self):
+        # The powers of 1e-5 J_4 have entries far below the absolute
+        # tolerance and keep their ranks. The verdict stays "not
+        # nilpotent": the running-maximum power test counts A^3 as zero
+        # (ROADMAP item 9).
+        a = CMatrix(1e-5 * np.eye(4, k=1))
+        assert [sp.rank(sp.matrix_power(a, k)) for k in (1, 2, 3)] == \
+            [3, 2, 1]
 
 
 class TestNilpotencyCertificate:

@@ -100,6 +100,17 @@ class TestRoundTrip:
         assert payload["nilpotency"]["is_nilpotent"] is True
         assert payload["nilpotency"]["rank_chain"] == [2, 1, 0]
 
+    def test_check_tiny_jordan_block(self, run, tmp_path):
+        # The rank chain is taken on each power scaled to unit entries, so
+        # the tolerance's absolute part does not swamp 1e-300 entries.
+        path = tmp_path / "m.json"
+        path.write_text(matio.to_json(CMatrix(1e-300 * np.eye(2, k=1))))
+        code, out, _ = run("check", "--input", str(path))
+        assert code == 0
+        nilpotency = json.loads(out)["nilpotency"]
+        assert nilpotency["is_nilpotent"] is True
+        assert nilpotency["rank_chain"] == [1, 0]
+
     def test_check_missing_file(self, run):
         code, _, err = run("check", "--input", "/nonexistent/m.json")
         assert code == 1

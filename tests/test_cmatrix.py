@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import spinpoint as sp
 from spinpoint import CMatrix, Tolerance
@@ -118,13 +118,13 @@ class TestArithmetic:
         expected = 2j * s2.data * (phase - 1.0)
         assert np.allclose(sp.commutator(left, right).data, expected)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(2, 4), st.integers(0, 2 ** 31 - 1))
     def test_adjoint_involution(self, n, seed):
         a = random_cmatrix(np.random.default_rng(seed), n)
         assert sp.adjoint(sp.adjoint(a)) == a
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
     def test_direct_sum_norm_additive(self, n, m, seed):
         rng = np.random.default_rng(seed)
@@ -223,10 +223,12 @@ class TestRank:
             assert sp.rank(rotated) == n - 1
 
     def test_rank_threshold_scaling(self):
-        # pivots below absolute + relative * n * ||A|| count as zero
-        m = CMatrix(np.diag([1.0, 1e-9]))
-        assert sp.rank(m, Tolerance(absolute=1e-6, relative=0.0)) == 1
-        assert sp.rank(m, Tolerance(absolute=1e-12, relative=0.0)) == 2
+        # Pivots below absolute + relative * n * ||B||_F count as zero,
+        # where B is A scaled to unit entries, so 2**k A has the rank of A.
+        for k in (0, -60, 60):
+            m = CMatrix(2.0 ** k * np.diag([1.0, 1e-9]))
+            assert sp.rank(m, Tolerance(absolute=1e-6, relative=0.0)) == 1
+            assert sp.rank(m, Tolerance(absolute=1e-12, relative=0.0)) == 2
 
 
 class TestNullspace:
@@ -243,6 +245,62 @@ class TestNullspace:
         for m, r in ((wide, 2), (tall, 2), (square, 3)):
             assert sp.rank(m) == r
             assert sp.rank(m) + len(sp.nullspace(m)) == m.cols
+
+
+def matrix_of_rank(rng, kind, n, r):
+    """An n x n matrix of rank r: a product of random factors, that
+    product made hermitian, or a normal matrix with n - r zero
+    eigenvalues."""
+    if kind == "product":
+        return random_complex(rng, n, r) @ random_complex(rng, r, n)
+    if kind == "hermitian":
+        m = random_complex(rng, n, r) @ random_complex(rng, r, n)
+        return (m + m.conj().T) / 2.0
+    u = random_unitary(rng, n).data
+    d = np.zeros(n, dtype=complex)
+    d[:r] = random_complex(rng, 1, r)[0]
+    return u @ np.diag(d) @ u.conj().T
+
+
+class TestScaleInvariance:
+    """Every rank and normality verdict is taken on the matrix scaled by a
+    power of two to unit entries, so ``2**k A`` gets the verdicts of A."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(0, 6),
+           st.sampled_from(["product", "hermitian", "normal"]),
+           st.integers(-1000, 1000), st.integers(0, 2 ** 31 - 1))
+    def test_verdicts_invariant_under_power_of_two_scaling(self, n, r, kind,
+                                                           k, seed):
+        a = matrix_of_rank(np.random.default_rng(seed), kind, n, min(r, n))
+        big = np.empty_like(a)
+        with np.errstate(over="ignore", under="ignore"):
+            big.real, big.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+        # Only where every nonzero entry stays normal and finite is the
+        # scaling exact both ways.
+        parts, scaled_parts = a.view(float), big.view(float)
+        assume(np.isfinite(scaled_parts).all())
+        assume((abs(scaled_parts[parts != 0.0])
+                >= np.finfo(float).tiny).all())
+        m, scaled = CMatrix(a), CMatrix(big)
+        assert sp.rank(scaled) == sp.rank(m)
+        got, want = sp.nullspace(scaled), sp.nullspace(m)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(bit_pattern(x), bit_pattern(y))
+        before, after = sp.normality_report(m), sp.normality_report(scaled)
+        assert after.is_normal == before.is_normal
+        assert after.is_hermitian == before.is_hermitian
+
+
+def unit_scaled(a):
+    """Reference: (e, 2**-e a), e putting the largest ``|re|`` or ``|im|``
+    entry of ``2**-e a`` in [0.5, 1); e = 0 for a zero matrix."""
+    a = np.asarray(a, dtype=complex)
+    e = int(np.frexp(max(abs(a.real).max(), abs(a.imag).max()))[1])
+    b = np.empty_like(a)
+    b.real, b.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return e, b
 
 
 def one_matrix_elimination(a, threshold):
@@ -267,16 +325,26 @@ def one_matrix_elimination(a, threshold):
 
 
 class TestFullPivotStack:
-    """The lockstep full-pivot elimination against the one-matrix loop."""
+    """The lockstep full-pivot elimination against the one-matrix loop
+    run on each matrix scaled to unit entries."""
 
     @staticmethod
-    def assert_matches_reference(stack, thresholds):
+    def assert_matches_reference(stack, tol=sp.DEFAULT_TOLERANCE,
+                                 floors=None):
         from spinpoint.cmatrix import _full_pivot_eliminate
-        reduced, ranks, colperms = _full_pivot_eliminate(stack, thresholds)
+        if floors is None:
+            reduced, ranks, colperms = _full_pivot_eliminate(stack, tol)
+            floors = [0.0] * len(stack)
+        else:
+            reduced, ranks, colperms = _full_pivot_eliminate(stack, tol,
+                                                             floors)
         assert reduced.shape == stack.shape
         assert len(ranks) == len(colperms) == len(stack)
-        for k, (a, threshold) in enumerate(zip(stack, thresholds)):
-            m, r, colperm = one_matrix_elimination(a, threshold)
+        for k, (a, floor) in enumerate(zip(stack, floors)):
+            e, b = unit_scaled(a)
+            threshold = (max(tol.absolute, np.ldexp(floor, -e))
+                         + tol.relative * max(b.shape) * np.linalg.norm(b))
+            m, r, colperm = one_matrix_elimination(b, threshold)
             assert ranks[k] == r, f"matrix {k}"
             assert np.array_equal(bit_pattern(reduced[k]), bit_pattern(m)), \
                 f"matrix {k}"
@@ -286,28 +354,25 @@ class TestFullPivotStack:
     @pytest.mark.parametrize("axis", [1, 2])
     def test_spin_power_stacks(self, axis):
         from spinpoint import Spin, nonnormal_hamiltonian
-        tol = sp.DEFAULT_TOLERANCE
         for twice in range(1, 26):
             h = nonnormal_hamiltonian(Spin(twice), axis, 1j).data
             n = twice + 1
             powers = [h]
             for _ in range(n - 2):
                 powers.append(powers[-1] @ h)
-            stack = np.array(powers)
-            ranks = self.assert_matches_reference(
-                stack, [tol.effective(p) for p in stack])
+            ranks = self.assert_matches_reference(np.array(powers))
             assert ranks == list(range(n - 1, 0, -1)), f"2s={twice}"
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (4, 4), (6, 3), (3, 6),
                                            (7, 5), (2, 8)])
     def test_random_stacks_of_mixed_rank(self, rng, rows, cols):
-        tol = sp.DEFAULT_TOLERANCE
         made = [r for r in range(min(rows, cols) + 1) for _ in range(2)]
         stack = np.array([random_complex(rng, rows, r)
                           @ random_complex(rng, r, cols) for r in made])
+        # Two full-rank matrices far from unit scale keep their rank.
+        stack[-2] *= 1e-300
         stack[-1] *= 1e-9
-        ranks = self.assert_matches_reference(
-            stack, [tol.effective(a) for a in stack])
+        ranks = self.assert_matches_reference(stack)
         assert ranks == made
 
     def test_thresholds_stop_matrices_at_different_steps(self, rng):
@@ -318,9 +383,10 @@ class TestFullPivotStack:
         a = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-9]) @ v
         thresholds = [1e-12, 1e-8, 1e-5, 1e-3, 1e-1, 10.0]
         stack = np.array([a] * len(thresholds))
-        ranks = self.assert_matches_reference(stack, thresholds)
+        exact = Tolerance(0.0, 0.0)
+        ranks = self.assert_matches_reference(stack, exact, thresholds)
         assert ranks == [5, 4, 3, 2, 1, 0]
-        ranks = self.assert_matches_reference(stack[::-1].copy(),
+        ranks = self.assert_matches_reference(stack[::-1].copy(), exact,
                                               thresholds[::-1])
         assert ranks == [0, 1, 2, 3, 4, 5]
 
@@ -328,9 +394,8 @@ class TestFullPivotStack:
         for a in (np.zeros((1, 1)), np.ones((1, 1)), np.eye(3, k=1),
                   random_complex(rng, 2, 5), random_complex(rng, 5, 2),
                   random_complex(rng, 4, 2) @ random_complex(rng, 2, 4)):
-            threshold = sp.DEFAULT_TOLERANCE.effective(a)
             [r] = self.assert_matches_reference(
-                np.array(a, dtype=complex)[None], [threshold])
+                np.array(a, dtype=complex)[None])
             assert sp.rank(CMatrix(a)) == r
             assert len(sp.nullspace(CMatrix(a))) == a.shape[1] - r
 
@@ -343,8 +408,17 @@ class TestFullPivotStack:
         stack = np.array([random_complex(rng, rows, r)
                           @ random_complex(rng, r, cols) for r in made])
         scales = 10.0 ** rng.uniform(-12, 1, size=count)
-        thresholds = [s * np.linalg.norm(a) for s, a in zip(scales, stack)]
-        self.assert_matches_reference(stack, thresholds)
+        floors = [s * np.linalg.norm(a) for s, a in zip(scales, stack)]
+        self.assert_matches_reference(stack, Tolerance(0.0, 0.0), floors)
+
+    def test_empty_stack(self):
+        # The rank chain of a matrix whose first power vanishes, such as
+        # the zero matrix, ranks no power at all.
+        from spinpoint.cmatrix import _full_pivot_eliminate
+        reduced, ranks, colperms = _full_pivot_eliminate(
+            np.zeros((0, 3, 3), dtype=complex), sp.DEFAULT_TOLERANCE)
+        assert reduced.shape == (0, 3, 3) and colperms.shape == (0, 3)
+        assert ranks == []
 
 
 class TestCharPoly:
