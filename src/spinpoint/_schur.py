@@ -15,13 +15,13 @@ all of T that it changes and to Q; without it, to the active block only
 (LAPACK ``zlahqr`` with ``wantt = wantz = false``): no Q, and only T's
 diagonal is meaningful. ``_eigenvalues_stack`` takes an ``(N, n, n)``
 stack and returns eigenvalues only: every matrix keeps its own active
-block, shift and step counts, and one sweep chases all of them in
+block, shift and stall count, and one sweep chases all of them in
 lockstep, so the interpreter overhead of a rotation is paid once per
 stack, not once per matrix. It chases the stack transposed to
 ``(n, n, N)``, matrix index last: entry (i, j) of every matrix is one
 contiguous vector, and each rotation updates contiguous blocks in
-place. Before each sweep, every matrix deflates all the trailing
-entries that have become negligible in one step. Both loops share the
+place. A sweep deflates every matrix in one step, then rotates, with
+``np.where`` masks only where the matrices differ. Both loops share the
 Hessenberg reduction and the deflation test.
 
 Both loops first scale each matrix by ``_unit_scale``, as every rank and
@@ -123,15 +123,6 @@ def _wilkinson_shift(a, b, c, d):
     return np.where(abs(lam1 - d) <= abs(lam2 - d), lam1, lam2)
 
 
-def _negligible(sub, diag_above, diag_below, floor):
-    """Whether subdiagonal entries are negligible: at most eps times the
-    sum of their diagonal neighbours, or at most ``floor`` when both
-    neighbours are zero. Python scalars or arrays."""
-    thresh = _EPS * (abs(diag_above) + abs(diag_below))
-    size = abs(sub)
-    return (size <= thresh) | ((size <= floor) & (thresh == 0.0))
-
-
 def _budget_error(budget: int, hi: int) -> ConvergenceError:
     return ConvergenceError(
         f"QR iteration did not converge within {budget} steps "
@@ -190,10 +181,13 @@ def _chase(h: list, q: list | None, floor: float) -> None:
     hi = n - 1
     while hi > 0:
         # Active block [lo..hi]: walk up to the nearest negligible
-        # subdiagonal entry.
+        # subdiagonal entry, at most eps times the sum of its diagonal
+        # neighbours, or at most ``floor`` when both are zero.
         lo = hi
         while lo > 0:
-            if _negligible(h[lo][lo - 1], h[lo - 1][lo - 1], h[lo][lo], floor):
+            size = abs(h[lo][lo - 1])
+            thresh = _EPS * (abs(h[lo - 1][lo - 1]) + abs(h[lo][lo]))
+            if size <= thresh or (size <= floor and thresh == 0.0):
                 h[lo][lo - 1] = 0j
                 break
             lo -= 1
@@ -259,20 +253,22 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of each matrix of an ``(N, n, n)`` stack, as ``(N, n)``.
 
     The single-matrix loop of ``schur_decompose`` run in lockstep, Q-free.
-    Each matrix keeps its own scale, active block ``[lo..hi]``, shift,
-    step count and stall count. A sweep chases ``k`` over the union of
-    the active blocks; outside a matrix's own block its rotation is the
-    identity, so a matrix's eigenvalues do not depend on the stack it
-    sits in. Row and column updates are trimmed to that union: for
-    eigenvalues alone, no entry outside the diagonal blocks is ever read.
+    Each matrix keeps its own scale, active block ``[lo..hi]``, shift and
+    stall count. A sweep chases ``k`` over the union of the active
+    blocks; outside a matrix's own block its rotation is the identity, so
+    a matrix's eigenvalues do not depend on the stack it sits in. Row and
+    column updates are trimmed to that union: for eigenvalues alone, no
+    entry outside the diagonal blocks is ever read.
 
     After the Hessenberg reduction the stack is chased as one
     ``(n, n, N)`` array, so a rotation's rows and columns are contiguous
-    length-N vectors, updated in place with c and s computed and
-    conjugated once. Deflation takes one step per sweep: a block's new
-    end is the last index at or below its old end whose subdiagonal
-    entry is not negligible, and its stall count restarts where the end
-    moved.
+    length-N vectors, updated in place. A sweep zeroes the negligible
+    subdiagonal entries, deflates every block in one step (to the last
+    index at or below its end whose entry is not negligible), returns
+    once every block ends at 0, and takes the shifts and the rotations.
+    A matrix is active in every sweep until its block ends, so the sweep
+    count is its step count. ``np.where`` masks are used only at an index
+    where some but not all blocks start, or some matrix does not rotate.
 
     Raises
     ------
@@ -288,63 +284,70 @@ def _eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     # Matrix index last: h[i, j] is entry (i, j) of every matrix.
     h = np.ascontiguousarray(h.transpose(1, 2, 0))
     budget = SWEEP_BUDGET_PER_DIM * n
-    every = np.arange(count)
-    steps = np.zeros(count, dtype=int)
+    sweeps = 0
     stall = np.zeros(count, dtype=int)
     hi = np.full(count, n - 1)
-    index = np.arange(n)[:, None]
+    index = np.arange(1, n)[:, None]
     # Strided views of the diagonal and the subdiagonal, shape (n, N) and
     # (n - 1, N).
     diag = h.reshape(n * n, count)[::n + 1]
     sub = h.reshape(n * n, count)[n::n + 1]
     while True:
-        # Zero every negligible subdiagonal entry. Entry l stops the upward
-        # walk from hi at lo = l, and l = 0 always stops it.
-        neg = _negligible(sub, diag[:-1], diag[1:], floor)
+        # Zero every negligible subdiagonal entry, by the test of _chase.
+        size = abs(diag)
+        thresh = _EPS * (size[:-1] + size[1:])
+        size = abs(sub)
+        neg = size <= thresh
+        if not thresh.all():
+            neg |= (thresh == 0.0) & (size <= floor)
         sub[neg] = 0.0
-        stops = np.concatenate([np.ones((1, count), dtype=bool), neg])
         # Deflate in one step: the block now ends at the last index at or
-        # below hi that does not stop the walk (0 if none), and starts at
-        # the last index at or below that which does.
-        new_hi = np.where(~stops & (index <= hi), index, 0).max(axis=0)
+        # below hi whose entry is not negligible (0 if none), and starts
+        # at the last index below that whose entry is (0 if none).
+        new_hi = (index * (~neg & (index <= hi))).max(axis=0, initial=0)
+        if not new_hi.any():
+            return _ldexp(diag.T, e[:, None])
         stall[new_hi != hi] = 0
         hi = new_hi
-        lo = np.where(stops & (index <= hi), index, 0).max(axis=0)
+        lo = (index * (neg & (index < hi))).max(axis=0, initial=0)
         active = hi > 0
-        if not active.any():
-            return _ldexp(diag.T, e[:, None])
-        late = active & (steps >= budget)
-        if late.any():
-            raise _budget_error(budget, int(hi[late.argmax()]))
-        steps += active
+        if sweeps >= budget:
+            raise _budget_error(budget, int(hi[active.argmax()]))
+        sweeps += 1
         stall += active
 
-        last = np.maximum(hi, 1)
-        mu = np.where(
-            stall % _STALL_LIMIT == 0,
-            h[last, last, every] + 0.75 * abs(h[last, last - 1, every]),
-            _wilkinson_shift(h[last - 1, last - 1, every],
-                             h[last - 1, last, every],
-                             h[last, last - 1, every], h[last, last, every]))
+        # The shift of each matrix, from the 2x2 block ending at max(hi, 1).
+        stop, hi_min = int(hi.max()), int(hi.min())
+        if stop == 1 or hi_min == stop:
+            block = h[stop - 1:stop + 1, stop - 1:stop + 1]
+        else:
+            ends = np.maximum(hi, 1) - np.array([[1], [0]])
+            block = h[ends[:, None], ends[None], np.arange(count)]
+        mu = _wilkinson_shift(*block[0], *block[1])
+        hit = stall == _STALL_LIMIT
+        if hit.any():  # an ad hoc shift breaks a potential cycle
+            mu = np.where(hit, block[1, 1] + 0.75 * abs(block[1, 0]), mu)
+            stall[hit] = 0
 
-        first, stop = int(lo[active].min()), int(hi[active].max())
-        # Row k - first: the matrices that rotate at k, and those whose
-        # block starts at k (their rotation is that of the shifted QR
-        # factorisation; the others chase their bulge).
-        ks = np.arange(first, stop)[:, None]
-        rotating = active & (lo <= ks) & (ks < hi)
-        starting = lo == ks
+        lo_min, lo_max = int(lo.min()), int(lo.max())
+        first = lo_min if hi_min else int(lo[active].min())
         for k in range(first, stop):
-            starts = starting[k - first]
-            # At k = 0 every rotating matrix starts; column -1 is unread.
-            x, y = h[k:k + 2, k - 1]
-            x = np.where(starts, h[k, k] - mu, x)
-            y = np.where(starts, h[k + 1, k], y)
+            # A block starting at k takes the shifted QR rotation; the
+            # others chase their bulge. At k = 0 every rotating block starts.
+            if k == lo_min == lo_max:
+                x, y = h[k, k] - mu, h[k + 1, k]
+            elif k > lo_max:
+                x, y = h[k:k + 2, k - 1]
+            else:
+                x, y = np.where(lo == k, [h[k, k] - mu, h[k + 1, k]],
+                                h[k:k + 2, k - 1])
             r = np.hypot(abs(x), abs(y))
-            turn = rotating[k - first] & (r > 0.0)
-            r = np.where(turn, r, 1.0)
-            c = np.where(turn, x / r, 1.0)
-            s = np.where(turn, y / r, 0.0)
+            if lo_max <= k < hi_min and r.min() > 0.0:
+                c, s = x / r, y / r
+            else:  # the identity where a matrix does not rotate at k
+                turn = (lo <= k) & (k < hi) & (r > 0.0)
+                r = np.where(turn, r, 1.0)
+                c, s = np.where(turn, [x / r, y / r], [[1.0], [0.0]])
             cc, sc = c.conj(), s.conj()
             # Rows k, k + 1 times G = [[c*, s*], [-s, c]], then columns
             # k, k + 1 times G*.

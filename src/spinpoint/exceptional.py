@@ -19,7 +19,7 @@ closed loop, continuing each sheet to its nearest new eigenvalue, and
 bisecting any step on which two sheets claim the same value or a sheet
 jumps by more than half the sheet gap; the loop returns the permutation
 it induces. The step back from the last node to the start is held to
-the same test, so that test is the only way a loop is refused.
+the same test in one pass; that test is the only way a loop is refused.
 """
 
 from __future__ import annotations
@@ -191,25 +191,34 @@ def _discriminant(pencil: PencilFamily) -> tuple[np.ndarray, float]:
     of H at the nodes: its characteristic polynomials, their Sylvester
     matrices and the determinants of those, each as one lockstep call.
     Raises ``ZeroDiscriminantError`` when D vanishes identically and
-    ``NonFiniteError`` when H overflows at a node.
+    ``NonFiniteError``, with no warning, when radius ** n(n-1), H at a
+    node, a sample or their Hadamard bound overflows.
     """
     n = pencil.size
     if n < 2:
         raise DimensionError("discriminant requires a pencil of size >= 2")
     count = n * (n - 1) + 1
     radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
-    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    coeffs = _char_poly(pencil._stack(nodes))
-    sylvester = _sylvester(coeffs, coeffs[:, 1:] * np.arange(1, n + 1))
-    disc = _det_lu(sylvester)
-    hadamard = np.prod(np.linalg.norm(sylvester, axis=-1), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = radius ** np.arange(count)
+        if not np.isfinite(powers[-1]):
+            raise NonFiniteError("sample circle radius ** n(n-1) overflows")
+        nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
+        coeffs = _char_poly(pencil._stack(nodes))
+        sylvester = _sylvester(coeffs, coeffs[:, 1:] * np.arange(1, n + 1))
+        disc = _det_lu(sylvester)
+        hadamard = np.prod(np.linalg.norm(sylvester, axis=-1), axis=-1)
+    if not np.isfinite(disc).all():
+        raise NonFiniteError("discriminant samples overflow")
+    if not np.isfinite(hadamard).all():
+        raise NonFiniteError("Hadamard bound of the samples overflows")
     # hypot rounds like abs() of one complex; numpy's vectorised complex
     # abs can differ in the last bit, and the gate compares it to a bound.
     if np.all(np.hypot(disc.real, disc.imag) <= _DET_ZERO_RATIO * hadamard):
         raise ZeroDiscriminantError(
             "discriminant vanishes identically: every parameter value "
             "is degenerate")
-    coeffs = np.fft.fft(disc) / count / radius ** np.arange(count)
+    coeffs = np.fft.fft(disc) / count / powers
     peak = np.abs(coeffs).max()
     degree = count - 1
     while degree > 0 and abs(coeffs[degree]) < _COEFF_TRUNCATION * peak:
@@ -413,8 +422,8 @@ def _step_test(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore"):
         nearest = np.abs(previous[:, :, None]
                          - new_values[:, None, :]).argmin(axis=-1)
-        jump = np.abs(np.take_along_axis(new_values, nearest, axis=-1)
-                      - previous).max(axis=-1)
+        line = np.arange(len(nearest))[:, None]
+        jump = np.abs(new_values[line, nearest] - previous).max(axis=-1)
     picked = np.sort(nearest, axis=-1)
     clash = (picked[:, 1:] == picked[:, :-1]).any(axis=-1)
     gaps = _min_gap(rows)
@@ -436,56 +445,60 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
     sheet permutation.
 
     The start is ``eigenvalues(H(path.point(0)))``, which fixes the sheet
-    order; the other ``steps`` path nodes are solved as one stack. One
-    pass tests every step of the stack from the last accepted node on and
-    accepts the leading run that passes. A step whose sheets clash or
-    whose matched jump exceeds half the minimal sheet gap gets its
-    midpoint solved and inserted, which makes both halves one bisection
-    deeper, and the pass resumes. Every node is solved once.
+    order; the other ``steps`` path nodes are solved as one stack, closed
+    by the start. One pass tests every step of the stack from the last
+    accepted node on and accepts the leading run that passes. A step
+    whose sheets clash or whose matched jump exceeds half the minimal
+    sheet gap gets its midpoint solved and inserted, which makes both
+    halves one bisection deeper, and the pass resumes. Every node is
+    solved once.
 
     This step test is the only refusal: a loop is traced however close it
     passes to an exceptional point, as long as every step resolves. A
     step still failing after 8 bisections raises ``SheetTrackingError``
     with the index of the requested step; that is how a loop through an
     exceptional point, or one too close to it for double precision, is
-    refused. The closing step, from the last node back to the start, is
-    held to the same test, without bisection; its ``SheetTrackingError``
-    carries the index ``steps``. A node where H overflows raises
-    ``NonFiniteError``.
+    refused. The closing step is tested in the same pass and never
+    bisected: when it fails, its ``SheetTrackingError`` carries the index
+    ``steps``. A node where H overflows raises ``NonFiniteError``.
     """
     # The start fixes the sheet labels, so it comes from eigenvalues()
     # itself: a stack row may differ from it in the last bit, and that can
     # swap two sheets of equal modulus. The other nodes are only matched.
     steps = path.steps
     start = np.asarray(eigenvalues(pencil.at(path.point(0.0))))
-    nodes = path.point(np.arange(1, steps + 1) / steps)
+    t = (np.arange(steps + 1) / steps).tolist()
+    nodes = path.point(np.array(t[1:]))
     # Row i of values is the spectrum at t[i], in sheet order up to row
     # done. level[i] is 0 at a requested node and d at a midpoint inserted
     # by the d-th bisection, so a step is as deep as its deeper end.
-    values = np.concatenate([start[None],
-                             _eigenvalues_stack(pencil._stack(nodes))])
-    t = [j / steps for j in range(steps + 1)]
-    level = [0] * (steps + 1)
+    values = np.vstack([start, _eigenvalues_stack(pencil._stack(nodes)),
+                        start])
+    level = [0] * (steps + 2)
     done = 0
     while True:
         nearest, clash, far, jump, gap = _step_test(values[done:])
         failed = np.flatnonzero(clash | far)
         accepted = failed[0] if len(failed) else len(nearest)
-        # The sheet order of row done + i + 1 is nearest[i] gathered by that
+        # The sheet order of row done + i + 1 is nearest[i] indexed by that
         # of row done + i. Composing by doubling spans makes orders[i] the
         # product of nearest[0..i], one gather per doubling; the rows are
         # then reordered at once.
         orders = nearest[:accepted]
+        line = np.arange(accepted)[:, None]
         span = 1
         while span < accepted:
-            orders[span:] = np.take_along_axis(orders[span:], orders[:-span],
-                                               axis=1)
+            orders[span:] = orders[span:][line[:-span], orders[:-span]]
             span *= 2
         rows = values[done + 1:done + accepted + 1]
-        rows[:] = np.take_along_axis(rows, orders, axis=1)
+        rows[:] = rows[line, orders]
         done += accepted
         if not len(failed):
             break
+        if done + 2 == len(values):
+            raise SheetTrackingError(
+                f"loop failed to close: {_failure(clash, jump, gap, accepted)}",
+                step_index=steps)
         depth = max(level[done], level[done + 1])
         if depth >= _MAX_BISECTIONS:
             step_index = level[:done + 1].count(0)
@@ -498,15 +511,10 @@ def trace_sheets(pencil: PencilFamily, path: PathSpec) -> MonodromyResult:
         values = np.insert(values, done + 1, mid, axis=0)
         t.insert(done + 1, t_mid)
         level.insert(done + 1, depth + 1)
-    sheets = values[np.array(level) == 0]
-
-    # The closing step, from the last node back to the start, is held to
-    # the same test as every other step.
-    pairing, clash, far, jump, gap = _step_test(np.array([sheets[-1], start]))
-    if clash[0] or far[0]:
-        raise SheetTrackingError(
-            f"loop failed to close: {_failure(clash, jump, gap, 0)}",
-            step_index=path.steps)
-    return MonodromyResult(permutation=tuple(pairing[0].tolist()),
-                           trajectories=tuple(map(tuple, sheets.tolist())),
-                           closure_error=float(jump[0]))
+    if len(values) > steps + 2:
+        values = values[np.array(level) == 0]
+    # The last row, the start again, closes the loop: its sheet order is
+    # the permutation, and its step's jump the closure error.
+    return MonodromyResult(permutation=tuple(orders[-1].tolist()),
+                           trajectories=tuple(map(tuple, values[:-1].tolist())),
+                           closure_error=float(jump[-1]))

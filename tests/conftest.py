@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import spinpoint._schur as schur
 from spinpoint import CMatrix
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -93,3 +94,97 @@ def char_poly_reference(mat):
         aux = mat @ aux + coeffs[n - k + 1] * eye
         coeffs[n - k] = -np.trace(mat @ aux) / k
     return coeffs * (-1.0) ** n
+
+
+def eigenvalues_stack_reference(a):
+    """Reference: the lockstep QR loop of ``_schur._eigenvalues_stack``
+    with masks at every index, the deflation test on every entry, every
+    shift entry gathered and the step budget checked each sweep:
+    the loop whose rows the lockstep solver must reproduce bit for
+    bit."""
+    count, n = a.shape[0], a.shape[-1]
+    e, scaled = schur._unit_scale(a)
+    h, _ = schur.hessenberg(scaled, want_q=False)
+    floor = schur._EPS * schur._norms(h.reshape(count, n * n))[:, 0]
+    # Matrix index last: h[i, j] is entry (i, j) of every matrix.
+    h = np.ascontiguousarray(h.transpose(1, 2, 0))
+    budget = schur.SWEEP_BUDGET_PER_DIM * n
+    every = np.arange(count)
+    steps = np.zeros(count, dtype=int)
+    stall = np.zeros(count, dtype=int)
+    hi = np.full(count, n - 1)
+    index = np.arange(n)[:, None]
+    # Strided views of the diagonal and the subdiagonal, shape (n, N) and
+    # (n - 1, N).
+    diag = h.reshape(n * n, count)[::n + 1]
+    sub = h.reshape(n * n, count)[n::n + 1]
+    while True:
+        # Zero every negligible subdiagonal entry. Entry l stops the upward
+        # walk from hi at lo = l, and l = 0 always stops it.
+        thresh = schur._EPS * (abs(diag[:-1]) + abs(diag[1:]))
+        size = abs(sub)
+        neg = (size <= thresh) | ((size <= floor) & (thresh == 0.0))
+        sub[neg] = 0.0
+        stops = np.concatenate([np.ones((1, count), dtype=bool), neg])
+        # Deflate in one step: the block now ends at the last index at or
+        # below hi that does not stop the walk (0 if none), and starts at
+        # the last index at or below that which does.
+        new_hi = np.where(~stops & (index <= hi), index, 0).max(axis=0)
+        stall[new_hi != hi] = 0
+        hi = new_hi
+        lo = np.where(stops & (index <= hi), index, 0).max(axis=0)
+        active = hi > 0
+        if not active.any():
+            return schur._ldexp(diag.T, e[:, None])
+        late = active & (steps >= budget)
+        if late.any():
+            raise schur._budget_error(budget, int(hi[late.argmax()]))
+        steps += active
+        stall += active
+
+        last = np.maximum(hi, 1)
+        mu = np.where(
+            stall % schur._STALL_LIMIT == 0,
+            h[last, last, every] + 0.75 * abs(h[last, last - 1, every]),
+            schur._wilkinson_shift(h[last - 1, last - 1, every],
+                                   h[last - 1, last, every],
+                                   h[last, last - 1, every],
+                                   h[last, last, every]))
+
+        first, stop = int(lo[active].min()), int(hi[active].max())
+        # Row k - first: the matrices that rotate at k, and those whose
+        # block starts at k (their rotation is that of the shifted QR
+        # factorisation; the others chase their bulge).
+        ks = np.arange(first, stop)[:, None]
+        rotating = active & (lo <= ks) & (ks < hi)
+        starting = lo == ks
+        for k in range(first, stop):
+            starts = starting[k - first]
+            # At k = 0 every rotating matrix starts; column -1 is unread.
+            x, y = h[k:k + 2, k - 1]
+            x = np.where(starts, h[k, k] - mu, x)
+            y = np.where(starts, h[k + 1, k], y)
+            r = np.hypot(abs(x), abs(y))
+            turn = rotating[k - first] & (r > 0.0)
+            r = np.where(turn, r, 1.0)
+            c = np.where(turn, x / r, 1.0)
+            s = np.where(turn, y / r, 0.0)
+            cc, sc = c.conj(), s.conj()
+            # Rows k, k + 1 times G = [[c*, s*], [-s, c]], then columns
+            # k, k + 1 times G*.
+            cols = slice(max(k - 1, first), stop + 1)
+            top, bottom = h[k, cols], h[k + 1, cols]
+            upper = cc * top + sc * bottom
+            np.multiply(c, bottom, out=bottom)
+            bottom -= s * top
+            top[...] = upper
+            if k > first:
+                # The chased bulge; the entry is already 0 in every matrix
+                # that does not chase one through k.
+                h[k + 1, k - 1] = 0.0
+            rows = slice(first, min(k + 3, stop + 1))
+            left, right = h[rows, k], h[rows, k + 1]
+            column = left * c + right * s
+            np.multiply(right, cc, out=right)
+            right -= left * sc
+            left[...] = column

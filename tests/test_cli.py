@@ -206,6 +206,17 @@ class TestPencilCommands:
         assert code == 2
         assert err.startswith("zero-discriminant:")
 
+    def test_ep_overflowing_samples_exit_code(self, run, tmp_path):
+        # Spin 2s = 20: the discriminant samples overflow.
+        mats = spinpoint.spin_matrices(spinpoint.Spin(20))
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        matio.write_file(mats.s3, str(a_path))
+        matio.write_file(mats.s1, str(b_path))
+        code, out, err = run("ep", "--a", str(a_path), "--b", str(b_path))
+        assert code == 1
+        assert err.startswith("non-finite:")
+        assert out == ""
+
     def test_trace_json(self, run, pencil_files):
         a_path, b_path = pencil_files
         code, out, _ = run("trace", "--a", a_path, "--b", b_path,

@@ -11,8 +11,9 @@ from spinpoint import CMatrix, Tolerance
 from spinpoint.errors import DimensionError, NonFiniteError
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
-                      det_lu_reference, paired_spectra, random_complex,
-                      random_cmatrix, random_hermitian, random_unitary)
+                      det_lu_reference, eigenvalues_stack_reference,
+                      paired_spectra, random_complex, random_cmatrix,
+                      random_hermitian, random_unitary)
 
 
 class TestConstruction:
@@ -820,3 +821,111 @@ class TestEigenvalueStack:
             engine._eigenvalues_stack(stack)
         assert info.value.block_index is not None
         assert 0 < info.value.block_index <= n - 1
+
+
+def sheet_trace_node_stacks():
+    """The node stacks of the benchmark's sheet-tracing loops: the 2x2
+    pencil diag(0, 1) + z sigma1 under three seeded unitary similarities
+    (radius 0.1 about i/2, twice about i/2, and about 0), and the spin
+    pencils s3 + z s1 at 2s = 2, 3, 6 about i and about 1, 256 steps."""
+    loops = []
+    for seed in (1, 2, 3):
+        q = random_unitary(np.random.default_rng(seed), 2).data
+        a, b = q @ np.diag([0.0, 1.0]) @ q.conj().T, q @ SIGMA1 @ q.conj().T
+        loops += [(f"2x2-{seed}-{center}-x{turns}", a, b, center, turns)
+                  for center, turns in ((0.5j, 1), (0.5j, 2), (0.0, 1))]
+    for twice in (2, 3, 6):
+        mats = sp.spin_matrices(sp.Spin(twice))
+        loops += [(f"spin{twice}-{center}", mats.s3.data, mats.s1.data,
+                   center, 1) for center in (1j, 1.0)]
+    stacks = []
+    for name, a, b, center, turns in loops:
+        path = sp.PathSpec(center=center, radius=0.1, steps=256, turns=turns)
+        nodes = path.point(np.arange(1, 257) / 256)
+        stacks.append((name, a + nodes[:, None, None] * b))
+    return stacks
+
+
+class TestStackMatchesReference:
+    """Each row of the lockstep QR loop equals, bit for bit, the row of
+    the reference loop with masks at every index and every bookkeeping
+    step taken in full (``eigenvalues_stack_reference``)."""
+
+    @staticmethod
+    def assert_matches(stack):
+        from spinpoint._schur import _eigenvalues_stack
+        got = _eigenvalues_stack(stack)
+        want = eigenvalues_stack_reference(stack)
+        assert got.shape == want.shape == (stack.shape[0], stack.shape[-1])
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+    @pytest.mark.parametrize("name, stack", sheet_trace_node_stacks(),
+                             ids=[c[0] for c in sheet_trace_node_stacks()])
+    def test_sheet_trace_node_stacks(self, name, stack):
+        self.assert_matches(stack)
+
+    def test_mixed_stacks_deflate_and_split_at_different_sweeps(self, rng):
+        for n in [*range(1, 9), 12, 16]:
+            split = random_complex(rng, n)
+            split[n // 2:, :n // 2] = 0.0
+            stack = TestEigenvalueStack.mixed_stack(rng, n)
+            self.assert_matches(np.concatenate([stack, split[None]]))
+            # The same matrices in another order, and halves of the stack.
+            self.assert_matches(stack[::-1])
+            self.assert_matches(stack[:len(stack) // 2])
+
+    def test_cyclic_shift_takes_ad_hoc_shifts(self, rng):
+        for n in [*range(2, 9), 12, 16]:
+            shift = np.roll(np.eye(n), 1, axis=0)
+            a = random_complex(rng, n)
+            self.assert_matches(np.array([shift, a, shift, a]))
+            self.assert_matches(np.array([shift, 2.0 * shift]))
+        # This block goes 30 steps without deflating, so it takes a second
+        # ad hoc shift at step 24.
+        stalling = np.array([[-1, -1, -1, 1], [0, 0, 0, 1], [0, 1, 1, -1],
+                             [-1, 0, 0, 1]], dtype=complex)
+        self.assert_matches(stalling[None])
+        self.assert_matches(np.array([stalling, random_complex(rng, 4)]))
+
+    def test_rotations_stay_inside_the_union_of_blocks(self):
+        # The first matrix deflates at once; the second splits at (1, 0),
+        # so the union of the active blocks starts at 1. An identity
+        # rotation at k = 0 would turn the first matrix's -0.0 into +0.0.
+        stack = np.array([np.diag([-0.0, 1.0, 2.0]),
+                          [[1, 2, 3], [0, 4, 5], [0, 6, 7]]], dtype=complex)
+        self.assert_matches(stack)
+
+    def test_zero_and_tiny_matrices_take_the_floor(self, rng):
+        # Zero diagonals make the relative threshold exactly 0, so only the
+        # floor decides: a 1e-20 subdiagonal below a unit superdiagonal
+        # deflates on it, a unit one does not.
+        for n in range(1, 9):
+            floor_case = np.eye(n, k=1) + 1e-20 * np.eye(n, k=-1)
+            stack = np.array([np.zeros((n, n)), 1e-300 * random_complex(rng, n),
+                              floor_case, np.eye(n, k=1) + np.eye(n, k=-1),
+                              random_complex(rng, n),
+                              5e-324 * np.eye(n, k=-1)], dtype=complex)
+            self.assert_matches(stack)
+            self.assert_matches(stack[:2])
+
+    def test_single_matrices_and_empty_stacks(self, rng):
+        for n in range(1, 9):
+            self.assert_matches(random_complex(rng, n)[None])
+            self.assert_matches(np.zeros((0, n, n), dtype=complex))
+        self.assert_matches(random_complex(rng, 1)[None].repeat(3, axis=0))
+
+    @pytest.mark.parametrize("per_dim", [0, 1, 2])
+    def test_budget_errors_match(self, rng, monkeypatch, per_dim):
+        import spinpoint._schur as engine
+        from spinpoint.errors import ConvergenceError
+        monkeypatch.setattr(engine, "SWEEP_BUDGET_PER_DIM", per_dim)
+        n = 6
+        stack = np.array([np.diag(np.arange(n) + 1.0), random_complex(rng, n),
+                          np.roll(np.eye(n), 1, axis=0)], dtype=complex)
+        with pytest.raises(ConvergenceError) as info:
+            engine._eigenvalues_stack(stack)
+        with pytest.raises(ConvergenceError) as want:
+            eigenvalues_stack_reference(stack)
+        assert str(info.value) == str(want.value)
+        assert info.value.block_index == want.value.block_index
+

@@ -9,13 +9,13 @@ from spinpoint import (CMatrix, PathSpec, PencilFamily, Spin,
                        find_exceptional_points, trace_sheets)
 from spinpoint.errors import (NonFiniteError, SheetTrackingError,
                              ZeroDiscriminantError)
-from spinpoint._schur import _eigenvalues_stack
 import spinpoint.exceptional as exceptional
 from spinpoint.exceptional import _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
-                      det_lu_reference, paired_spectra, random_cmatrix,
-                      random_complex, random_unitary)
+                      det_lu_reference, eigenvalues_stack_reference,
+                      paired_spectra, random_cmatrix, random_complex,
+                      random_unitary)
 
 
 def hermitian_example():
@@ -72,7 +72,7 @@ def stepwise_trace(pencil, path):
         return continued(half, t_mid, t_to, new_values, depth + 1)
 
     start = np.asarray(exceptional.eigenvalues(pencil.at(path.point(0.0))))
-    spectra = _eigenvalues_stack(np.array([
+    spectra = eigenvalues_stack_reference(np.array([
         pencil.a.data + complex(path.point(j / steps)) * pencil.b.data
         for j in range(1, steps + 1)]))
     trajectories = [tuple(complex(v) for v in start)]
@@ -274,6 +274,31 @@ class TestDiscriminant:
                               b=CMatrix(1e308 * SIGMA1))
         with pytest.raises(NonFiniteError):
             exceptional._discriminant(pencil)[0]
+
+    @pytest.mark.parametrize("a_scale, b_scale", [
+        (1e300, 1e-300), (1e200, 1.0), (1.0, 1e-200)])
+    def test_overflowing_circle_radius_is_refused(self, a_scale, b_scale):
+        # The sample circle's radius 1 + ||A|| / ||B|| is inf or 7.1e199,
+        # and the coefficients are divided by its n(n-1)-th power. The
+        # EPs of the last pencil, +/- 0.5e200 i, are finite, but D cannot
+        # be recovered on that circle.
+        pencil = PencilFamily(a=CMatrix(a_scale * np.diag([0.0, 1.0])),
+                              b=CMatrix(b_scale * SIGMA1))
+        with pytest.raises(NonFiniteError, match=r"radius \*\* n\(n-1\)"):
+            find_exceptional_points(pencil)
+
+    @pytest.mark.parametrize("twice", [14, 15, 16])
+    def test_overflowing_hadamard_bound_is_refused(self, twice):
+        # The samples are finite, but the bound the zero gate compares
+        # them with is not; that is no evidence that D vanishes.
+        with pytest.raises(NonFiniteError, match="^Hadamard bound"):
+            find_exceptional_points(spin_pencil(twice))
+
+    @pytest.mark.parametrize("twice", range(17, 26))
+    def test_overflowing_samples_are_refused(self, twice):
+        with pytest.raises(NonFiniteError,
+                           match="^discriminant samples overflow$"):
+            find_exceptional_points(spin_pencil(twice))
 
     def test_sample_count_invariance(self):
         # Twice the samples recover the same coefficients.
@@ -760,6 +785,53 @@ class TestTraceSheets:
         assert info.value.step_index == 64
         assert str(info.value) == ("loop failed to close: jump 3.000e-01 "
                                    "exceeds half the sheet gap 4.000e-01")
+
+    def test_failed_closing_step_is_not_bisected(self, monkeypatch):
+        # Only the closing step of the spiral fails: it is tested in the
+        # pass over the node stack, refused with the index steps, and no
+        # midpoint is solved, so eigenvalues() solves the start alone.
+        class Spiral(PathSpec):
+            def point(self, t):
+                return self.radius * (1.0 + t) * np.exp(2j * np.pi * t)
+
+        solved = []
+
+        def recording(a):
+            solved.append(a.data)
+            return eigenvalues(a)
+
+        eigenvalues = exceptional.eigenvalues
+        monkeypatch.setattr(exceptional, "eigenvalues", recording)
+        pencil = PencilFamily(a=CMatrix.diagonal([0.0, 1.0]),
+                              b=CMatrix.diagonal([1.0, 0.0]))
+        with pytest.raises(SheetTrackingError) as info:
+            trace_sheets(pencil, Spiral(center=0.0, radius=0.3, steps=64))
+        assert info.value.step_index == 64
+        assert str(info.value).startswith("loop failed to close: ")
+        assert len(solved) == 1
+
+    def test_bisected_last_step_then_closes(self, monkeypatch):
+        # The loop passes 0.005 inside the EP at -i/2 in the middle of its
+        # last requested step, which is bisected; the closing step, from
+        # the last node back to the start, then passes.
+        pencil = hermitian_example()
+        path = PathSpec(center=-0.48 - 0.405j, radius=0.5, steps=16)
+        solved = []
+
+        def recording(a):
+            solved.append(a.data)
+            return eigenvalues(a)
+
+        eigenvalues = exceptional.eigenvalues
+        monkeypatch.setattr(exceptional, "eigenvalues", recording)
+        result = trace_sheets(pencil, path)
+        turns = [np.angle((m[0, 1] - path.center) / path.radius) / (2 * np.pi)
+                 % 1.0 for m in solved[1:]]
+        assert turns and all(15 / 16 < t < 1.0 for t in turns)
+        assert (result.permutation, result.trajectories,
+                result.closure_error) == stepwise_trace(pencil, path)
+        assert result.permutation == (1, 0)
+        assert result.closure_error == 1.6782945342419286e-16
 
     def test_overflowing_nodes_raise_non_finite(self):
         # The start is finite; the nodes far from it overflow. Neither
