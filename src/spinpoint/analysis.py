@@ -86,10 +86,6 @@ class NormalityReport:
     is_normal: bool
     is_hermitian: bool
 
-    def to_dict(self) -> dict:
-        return {"defect": self.defect, "henrici": self.henrici,
-                "is_normal": self.is_normal, "is_hermitian": self.is_hermitian}
-
 
 @dataclass(frozen=True)
 class NilpotencyReport:
@@ -103,10 +99,6 @@ class NilpotencyReport:
     is_nilpotent: bool
     index: int | None
     rank_chain: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {"is_nilpotent": self.is_nilpotent, "index": self.index,
-                "rank_chain": list(self.rank_chain)}
 
 
 def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool, bool]:

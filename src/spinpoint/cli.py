@@ -11,6 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,19 +21,17 @@ import numpy as np
 from . import matio
 from .analysis import nilpotency_report, normality_report, sweep_phi
 from .cmatrix import CMatrix, DEFAULT_TOLERANCE, Tolerance, rank
-from .errors import SpinpointError, ConvergenceError, SheetTrackingError, \
-    ZeroDiscriminantError
+from .errors import SpinpointError
 from .exceptional import PathSpec, PencilFamily, find_exceptional_points, \
     trace_sheets
 from .fermi import quadratic_fermi_rep, rep_eigen_analysis
 from .kernel import kernel_vector
 from .spins import Spin, nonnormal_hamiltonian, parse_spin, spin_matrices
 
-_NUMERICAL_ERRORS = (ConvergenceError, ZeroDiscriminantError,
-                     SheetTrackingError)
 
+class CLIError(SpinpointError):
+    """A refused command line or input file; ``code`` names the refusal."""
 
-class CLIError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
@@ -93,8 +92,41 @@ def _read_matrix(path: str, flag: str) -> CMatrix:
         raise CLIError("bad-matrix-file", f"--{flag} {path}: {exc}")
 
 
-def _complex_pair(v: complex) -> list[float]:
-    return [float(v.real), float(v.imag)]
+def _plain(value):
+    """JSON form of what ``json`` cannot encode itself: a complex number
+    as [re, im], an array as a list, a matrix in the ``matio`` schema and
+    a report dataclass as its fields."""
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, CMatrix):
+        return matio.matrix_to_dict(value)
+    if dataclasses.is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, default=_plain, sort_keys=True)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, complex):
+        return f"{float(value.real)!r},{float(value.imag)!r}"
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _csv(rows, names=None) -> str:
+    """One line per row, under a header of ``names`` when given. A complex
+    value fills two cells, the ``repr`` of its real and imaginary parts
+    as floats, headed name_re,name_im."""
+    lines = [",".join(map(_csv_cell, row)) for row in rows]
+    if names is not None:
+        lines.insert(0, ",".join(
+            f"{name}_re,{name}_im" if isinstance(value, complex) else name
+            for name, value in zip(names, rows[0])))
+    return "\n".join(lines)
 
 
 def _format_entry(v: complex) -> str:
@@ -108,25 +140,14 @@ def _format_entry(v: complex) -> str:
 
 def _emit_matrix(m: CMatrix, fmt: str) -> str:
     if fmt == "json":
-        return matio.to_json(m)
+        return _json(m)
     if fmt == "mm":
         return matio.to_matrix_market(m).rstrip("\n")
     if fmt == "csv":
-        rows = []
-        for i in range(m.rows):
-            cells = []
-            for j in range(m.cols):
-                v = m.data[i, j]
-                cells.append(f"{float(v.real)!r},{float(v.imag)!r}")
-            rows.append(",".join(cells))
-        return "\n".join(rows)
-    if fmt == "pretty":
-        cells = [[_format_entry(m.data[i, j]) for j in range(m.cols)]
-                 for i in range(m.rows)]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("  ".join(c.rjust(width) for c in row)
-                         for row in cells)
-    raise CLIError("invalid-format", f"unknown format {fmt!r}")
+        return _csv(m.data)
+    cells = [[_format_entry(v) for v in row] for row in m.data]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
 _GEN_OPS = ("s1", "s2", "s3", "s+", "s-", "h1", "h2", "hz")
@@ -152,11 +173,11 @@ def _cmd_gen(args) -> str:
 def _cmd_check(args) -> str:
     tol = _tolerance()
     matrix = _read_matrix(args.input, "input")
-    payload = {"matrix": matio.matrix_to_dict(matrix)}
+    payload = {"matrix": matrix}
     if matrix.is_square:
-        payload["normality"] = normality_report(matrix, tol).to_dict()
-        payload["nilpotency"] = nilpotency_report(matrix, tol).to_dict()
-    return json.dumps(payload, sort_keys=True)
+        payload["normality"] = normality_report(matrix, tol)
+        payload["nilpotency"] = nilpotency_report(matrix, tol)
+    return _json(payload)
 
 
 def _cmd_kernel(args) -> str:
@@ -166,27 +187,14 @@ def _cmd_kernel(args) -> str:
         raise CLIError("invalid-axis", f"--axis must be 1 or 2, got {args.axis}")
     solution = kernel_vector(spin, args.axis)
     matrix = nonnormal_hamiltonian(spin, args.axis, 1j)
-    return json.dumps({
-        "vector": [_complex_pair(v) for v in solution.vector],
-        "residual": solution.residual,
-        "consistency": solution.consistency,
-        "rank": rank(matrix, tol),
-    }, sort_keys=True)
+    return _json({"vector": solution.vector, "residual": solution.residual,
+                  "consistency": solution.consistency,
+                  "rank": rank(matrix, tol)})
 
 
 def _cmd_ep(args) -> str:
     tol = _tolerance()
-    pencil = _make_pencil(args)
-    candidates = find_exceptional_points(pencil, tol=tol)
-    return json.dumps([{
-        "z": _complex_pair(c.z),
-        "degenerate_eigenvalue": _complex_pair(c.degenerate_eigenvalue),
-        "gap": c.gap,
-        "discriminant_residual": c.discriminant_residual,
-        "newton_converged": c.newton_converged,
-        "geometric_multiplicity": c.geometric_multiplicity,
-        "accepted": c.accepted,
-    } for c in candidates], sort_keys=True)
+    return _json(find_exceptional_points(_make_pencil(args), tol=tol))
 
 
 def _make_pencil(args) -> PencilFamily:
@@ -200,31 +208,18 @@ def _make_pencil(args) -> PencilFamily:
 
 def _cmd_trace(args) -> str:
     pencil = _make_pencil(args)
-    center = _parse_complex(args.center, "center")
     try:
-        path = PathSpec(center=center, radius=args.radius, steps=args.steps,
-                        turns=args.turns)
+        path = PathSpec(center=_parse_complex(args.center, "center"),
+                        radius=args.radius, steps=args.steps, turns=args.turns)
     except ValueError as exc:
         raise CLIError("invalid-path", str(exc))
     result = trace_sheets(pencil, path)
     if args.format == "csv":
-        n = pencil.size
-        header = ["step", "t", "z_re", "z_im"]
-        for k in range(n):
-            header += [f"eig{k}_re", f"eig{k}_im"]
-        lines = [",".join(header)]
-        for j, values in enumerate(result.trajectories):
-            t = j / path.steps
-            z = path.point(t)
-            row = [str(j), repr(t), repr(z.real), repr(z.imag)]
-            for v in values:
-                row += [repr(v.real), repr(v.imag)]
-            lines.append(",".join(row))
-        return "\n".join(lines)
-    return json.dumps({
-        "permutation": list(result.permutation),
-        "closure_error": result.closure_error,
-    }, sort_keys=True)
+        names = ["step", "t", "z"] + [f"eig{k}" for k in range(pencil.size)]
+        return _csv([[j, j / path.steps, path.point(j / path.steps), *values]
+                     for j, values in enumerate(result.trajectories)], names)
+    return _json({"permutation": result.permutation,
+                  "closure_error": result.closure_error})
 
 
 def _cmd_fermi(args) -> str:
@@ -235,11 +230,8 @@ def _cmd_fermi(args) -> str:
     except SpinpointError as exc:
         raise CLIError("invalid-coefficients", str(exc))
     analysis = rep_eigen_analysis(rep, tol)
-    return json.dumps({
-        "rep": matio.matrix_to_dict(rep.rep),
-        "eigenvalues": [_complex_pair(v) for v in analysis.eigenvalues],
-        "zero_multiplicity": analysis.geometric_multiplicity_of_zero,
-    }, sort_keys=True)
+    return _json({"rep": rep.rep, "eigenvalues": analysis.eigenvalues,
+                  "zero_multiplicity": analysis.geometric_multiplicity_of_zero})
 
 
 def _cmd_sweep_phi(args) -> str:
@@ -247,24 +239,8 @@ def _cmd_sweep_phi(args) -> str:
         raise CLIError("invalid-steps", "--steps must be at least 2")
     rows = sweep_phi(args.steps)
     if args.format == "csv":
-        lines = ["phi,lam_plus_re,lam_plus_im,lam_minus_re,lam_minus_im,"
-                 "defect,henrici"]
-        for row in rows:
-            lines.append(",".join([
-                repr(row["phi"]),
-                repr(row["lam_plus"].real), repr(row["lam_plus"].imag),
-                repr(row["lam_minus"].real), repr(row["lam_minus"].imag),
-                repr(row["defect"]), repr(row["henrici"]),
-            ]))
-        return "\n".join(lines)
-    payload = [{
-        "phi": row["phi"],
-        "lam_plus": _complex_pair(row["lam_plus"]),
-        "lam_minus": _complex_pair(row["lam_minus"]),
-        "defect": row["defect"],
-        "henrici": row["henrici"],
-    } for row in rows]
-    return json.dumps(payload, sort_keys=True)
+        return _csv([list(row.values()) for row in rows], list(rows[0]))
+    return _json(rows)
 
 
 def _build_parser() -> _Parser:
@@ -330,15 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         output = _HANDLERS[args.command](args)
-    except CLIError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
     except SpinpointError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_status
     except ValueError as exc:
         print(f"invalid-input: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` string; the CLI
-prints it on stderr and maps the class to an exit status (validation
-errors exit 1, numerical failures exit 2).
+Every error carries a short machine-readable ``code`` string and an
+``exit_status``, both class attributes: the CLI prints the code on
+stderr and exits with the status, 1 for validation errors and 2 for the
+numerical failures (``ConvergenceError``, ``ZeroDiscriminantError``,
+``SheetTrackingError``).
 """
 
 
@@ -10,6 +12,7 @@ class SpinpointError(Exception):
     """Base class for all package-specific errors."""
 
     code = "error"
+    exit_status = 1
 
 
 class DimensionError(SpinpointError, ValueError):
@@ -32,6 +35,7 @@ class ConvergenceError(SpinpointError, RuntimeError):
     """
 
     code = "no-convergence"
+    exit_status = 2
 
     def __init__(self, message, block_index=None):
         super().__init__(message)
@@ -43,6 +47,7 @@ class ZeroDiscriminantError(SpinpointError, ArithmeticError):
     value is degenerate, so there is no finite root list to report."""
 
     code = "zero-discriminant"
+    exit_status = 2
 
 
 class SheetTrackingError(SpinpointError, RuntimeError):
@@ -53,6 +58,7 @@ class SheetTrackingError(SpinpointError, RuntimeError):
     """
 
     code = "sheet-tracking"
+    exit_status = 2
 
     def __init__(self, message, step_index=None):
         super().__init__(message)

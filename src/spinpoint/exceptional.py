@@ -195,8 +195,6 @@ def _discriminant(pencil: PencilFamily) -> tuple[np.ndarray, float]:
     node, a sample or their Hadamard bound overflows.
     """
     n = pencil.size
-    if n < 2:
-        raise DimensionError("discriminant requires a pencil of size >= 2")
     count = n * (n - 1) + 1
     radius = 1.0 + frobenius_norm(pencil.a) / frobenius_norm(pencil.b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,15 +229,11 @@ def _discriminant(pencil: PencilFamily) -> tuple[np.ndarray, float]:
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial (low-to-high coefficients) via the companion
-    matrix of its monic normalization."""
+    """Roots of a polynomial of degree >= 1 (low-to-high coefficients) via
+    the companion matrix of its monic normalization."""
     degree = len(coeffs) - 1
-    if degree < 1:
-        return np.empty(0, dtype=complex)
     monic = coeffs / coeffs[degree]
-    comp = np.zeros((degree, degree), dtype=complex)
-    if degree > 1:
-        comp[1:, :-1] = np.eye(degree - 1)
+    comp = np.eye(degree, k=-1, dtype=complex)
     comp[:, -1] = -monic[:degree]
     return np.asarray(eigenvalues(CMatrix(comp)))
 
@@ -371,13 +365,17 @@ def find_exceptional_points(pencil: PencilFamily,
     centroid and the spread of the members around it. A multiple root
     contributes one candidate at its group's centroid, a simple root is
     polished by Newton iteration on D. Every candidate is certified by the
-    eigenvalue gap of H(z) and sorted by modulus then argument.
+    eigenvalue gap of H(z) and sorted by modulus then argument. A 1x1
+    pencil, or one whose discriminant is a nonzero constant, has no
+    degenerate eigenvalue and gives no candidate.
     """
-    coeffs, disc_scale = _discriminant(pencil)
-    roots = _companion_roots(coeffs)
-    if len(roots) == 0:
-        return []
     n = pencil.size
+    if n < 2:
+        return []
+    coeffs, disc_scale = _discriminant(pencil)
+    if len(coeffs) < 2:
+        return []
+    roots = _companion_roots(coeffs)
     norm_a = frobenius_norm(pencil.a)
     norm_b = frobenius_norm(pencil.b)
     fields, shifted, floors = [], [], []

@@ -11,6 +11,7 @@ import pytest
 import spinpoint
 from spinpoint import CMatrix, matio
 from spinpoint.cli import main
+from spinpoint.errors import ConvergenceError
 
 
 @pytest.fixture
@@ -67,6 +68,12 @@ class TestGen:
         code_b, out_b, _ = run("gen", "--spin", "1", "--op", "h1")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_pretty_mixed_entry(self, run):
+        code, out, _ = run("gen", "--spin", "1/2", "--op", "hz", "--z", "1,1",
+                           "--format", "pretty")
+        assert code == 0
+        assert out.splitlines() == ["     0.5  0.5+0.5i", "0.5+0.5i      -0.5"]
 
     def test_determinism(self, run):
         first = run("gen", "--spin", "5/2", "--op", "h2")
@@ -177,17 +184,28 @@ class TestKernel:
         assert err.startswith("non-finite:")
         assert out == ""
 
+    def test_convergence_failure_exit_code(self, run, monkeypatch):
+        def fail(spin, axis):
+            raise ConvergenceError("QR sweep budget exhausted")
+        monkeypatch.setattr("spinpoint.cli.kernel_vector", fail)
+        code, out, err = run("kernel", "--spin", "1", "--axis", "1")
+        assert code == 2
+        assert err.startswith("no-convergence:")
+        assert out == ""
+
+
+@pytest.fixture
+def pencil_files(tmp_path):
+    """diag(0, 1) and sigma1: the pencil with EPs at z = +/- i/2."""
+    a = CMatrix(np.diag([0.0, 1.0]))
+    b = CMatrix([[0.0, 1.0], [1.0, 0.0]])
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    matio.write_file(a, str(a_path))
+    matio.write_file(b, str(b_path))
+    return str(a_path), str(b_path)
+
 
 class TestPencilCommands:
-    @pytest.fixture
-    def pencil_files(self, tmp_path):
-        a = CMatrix(np.diag([0.0, 1.0]))
-        b = CMatrix([[0.0, 1.0], [1.0, 0.0]])
-        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        matio.write_file(a, str(a_path))
-        matio.write_file(b, str(b_path))
-        return str(a_path), str(b_path)
-
     def test_ep(self, run, pencil_files):
         a_path, b_path = pencil_files
         code, out, _ = run("ep", "--a", a_path, "--b", b_path)
@@ -198,6 +216,12 @@ class TestPencilCommands:
         assert abs(zs[0] + 0.5j) <= 1e-10
         assert abs(zs[1] - 0.5j) <= 1e-10
         assert all(c["accepted"] for c in payload)
+
+    def test_ep_one_by_one_pencil(self, run, tmp_path):
+        path = tmp_path / "one.json"
+        matio.write_file(CMatrix([[2.0]]), str(path))
+        code, out, err = run("ep", "--a", str(path), "--b", str(path))
+        assert (code, out, err) == (0, "[]\n", "")
 
     def test_ep_zero_discriminant_exit_code(self, run, tmp_path):
         path = tmp_path / "eye.json"
@@ -305,6 +329,94 @@ class TestSweepPhi:
         code, _, err = run("sweep-phi", "--steps", "1")
         assert code == 1
         assert err.startswith("invalid-steps:")
+
+
+class TestCsvCells:
+    """Every data cell of a CSV output parses as a float: a complex value
+    is written as two cells, never as a numpy repr."""
+
+    @staticmethod
+    def data_cells(out, header):
+        lines = out.strip().splitlines()[1 if header else 0:]
+        assert lines
+        return [cell for line in lines for cell in line.split(",")]
+
+    def test_gen(self, run):
+        code, out, _ = run("gen", "--spin", "3/2", "--op", "h1",
+                           "--format", "csv")
+        assert code == 0
+        cells = self.data_cells(out, header=False)
+        assert len(cells) == 2 * 16
+        for cell in cells:
+            float(cell)
+
+    @pytest.mark.parametrize("turns, steps", [("1", "16"), ("2", "32")])
+    def test_trace(self, run, pencil_files, turns, steps):
+        a_path, b_path = pencil_files
+        code, out, _ = run("trace", "--a", a_path, "--b", b_path,
+                           "--center", "0,0", "--radius", "0.1",
+                           "--steps", steps, "--turns", turns,
+                           "--format", "csv")
+        assert code == 0
+        cells = self.data_cells(out, header=True)
+        assert len(cells) == 8 * (int(steps) + 1)
+        for cell in cells:
+            float(cell)
+
+    def test_sweep_phi(self, run):
+        code, out, _ = run("sweep-phi", "--steps", "5", "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        henrici = lines[0].split(",").index("henrici")
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 7
+            for k, cell in enumerate(cells):
+                if not (k == henrici and cell == "None"):
+                    float(cell)
+
+
+class TestErrorPaths:
+    """Validation errors exit 1 with their code on stderr and print
+    nothing on stdout."""
+
+    @pytest.fixture
+    def files(self, pencil_files, tmp_path):
+        c_path = tmp_path / "c.json"
+        matio.write_file(CMatrix.identity(3), str(c_path))
+        a_path, b_path = pencil_files
+        return {"a": a_path, "b": b_path, "c": str(c_path)}
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(("gen", "--spin", "1", "--twice-spin", "2", "--op", "s1"),
+                     "invalid-spin", id="both-spin-flags"),
+        pytest.param(("gen", "--op", "s1"), "invalid-spin",
+                     id="no-spin-flag"),
+        pytest.param(("gen", "--spin", "1", "--op", "hz", "--z", "1"),
+                     "invalid-z", id="z-one-part"),
+        pytest.param(("gen", "--spin", "1", "--op", "hz", "--z", "1,i"),
+                     "invalid-z", id="z-not-a-number"),
+        pytest.param(("trace", "--a", "{a}", "--b", "{b}", "--center", "0;0.5",
+                      "--radius", "0.1", "--steps", "64"),
+                     "invalid-center", id="center"),
+        pytest.param(("ep", "--a", "{a}", "--b", "{c}"), "invalid-pencil",
+                     id="pencil-block-sizes"),
+        pytest.param(("fermi", "--m", "{c}"), "invalid-coefficients",
+                     id="fermi-3x3"),
+    ])
+    def test_exit_code(self, run, files, argv, error):
+        code, out, err = run(*(arg.format(**files) for arg in argv))
+        assert code == 1
+        assert err.startswith(f"{error}:")
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "inf"])
+    def test_invalid_tolerance(self, run, monkeypatch, value):
+        monkeypatch.setenv("SPINPOINT_TOL", value)
+        code, out, err = run("kernel", "--spin", "1/2", "--axis", "1")
+        assert code == 1
+        assert err.startswith("invalid-tolerance:")
+        assert out == ""
 
 
 class TestImport:

@@ -424,6 +424,25 @@ class TestFindExceptionalPoints:
         for cb in base:
             assert np.abs(cb.z - dense).min() <= 1e-8
 
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1e300, 1e-300)])
+    def test_one_by_one_pencil_has_no_candidates(self, a, b, monkeypatch):
+        # A single eigenvalue is never degenerate: no sample is taken, so
+        # a pencil whose sample circle would overflow gives [] as well.
+        monkeypatch.setattr(exceptional, "_discriminant", None)
+        pencil = PencilFamily(a=CMatrix([[a]]), b=CMatrix([[b]]))
+        assert find_exceptional_points(pencil) == []
+
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([0.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]]),
+        (np.diag([0.0, 1.0, 2.0]), np.triu(np.ones((3, 3)), 1)),
+    ])
+    def test_constant_discriminant_has_no_candidates(self, a, b):
+        # H(z) is triangular with the fixed diagonal of A, so D is a
+        # nonzero constant and has no root.
+        pencil = PencilFamily(a=CMatrix(a), b=CMatrix(b))
+        assert len(exceptional._discriminant(pencil)[0]) == 1
+        assert find_exceptional_points(pencil) == []
+
 
 def located(a, b):
     """The EPs that ``find_exceptional_points`` returns for (A, B)."""
