@@ -43,7 +43,7 @@ from ._schur import _norms, _unit_scale, schur_decompose
 from .errors import DimensionError, NonFiniteError
 
 __all__ = [
-    "Tolerance", "CMatrix", "SchurForm",
+    "Tolerance", "DEFAULT_TOLERANCE", "CMatrix", "SchurForm",
     "add", "sub", "mul", "scale", "adjoint", "commutator",
     "kron", "direct_sum", "frobenius_norm", "trace", "det",
     "rank", "nullspace", "eigenvalues", "schur",
@@ -71,29 +71,32 @@ def _frobenius(x: np.ndarray) -> float:
     return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Tolerance:
-    """Absolute/relative tolerance pair.
+    """One tolerance for every rank and normality verdict, each taken on
+    B = 2**-e A scaled to unit entries (``_unit_scale``): the threshold
+    for an n x n matrix is ``value + value * n * ||B||_F``. The field is
+    keyword-only, so ``Tolerance(1e-10)`` raises ``TypeError``."""
 
-    The effective threshold for an n x n matrix A is
-    ``absolute + relative * n * ||A||_F``. Every rank and normality
-    verdict applies it to A scaled to unit entries (``_unit_scale``), so
-    the absolute part is measured in the binade of A's largest entry.
-    """
-
-    absolute: float = 1e-12
-    relative: float = 1e-12
+    value: float = 1e-12
 
     def __post_init__(self):
-        if not (np.isfinite(self.absolute) and np.isfinite(self.relative)):
-            raise ValueError("tolerances must be finite")
-        if self.absolute < 0.0 or self.relative < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not np.isfinite(self.value) or self.value < 0.0:
+            raise ValueError(f"tolerance must be finite and nonnegative, "
+                             f"got {self.value}")
 
-    def effective(self, a: "CMatrix | np.ndarray") -> float:
-        data = a.data if isinstance(a, CMatrix) else np.asarray(a)
-        n = max(data.shape)
-        return self.absolute + self.relative * n * _frobenius(data)
+    def effective(self, b: "CMatrix | np.ndarray", floors=0.0):
+        """``max(value, floor) + value * n * ||b||_F``, n the larger
+        extent: a float for one matrix b, an array for an ``(N, rows,
+        cols)`` stack, with one floor each or one for all. The norm is
+        that of ``_norms``, unguarded against overflow: b is meant to be
+        scaled to unit entries."""
+        b = b.data if isinstance(b, CMatrix) else np.asarray(b)
+        rows, cols = b.shape[-2:]
+        norms = _norms(b.reshape(b.shape[:-2] + (rows * cols,)))[..., 0]
+        limit = (np.maximum(self.value, floors)
+                 + self.value * max(rows, cols) * norms)
+        return limit if b.ndim > 2 else float(limit)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -332,8 +335,7 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     stack, run in lockstep.
 
     Each matrix A is eliminated as B = 2**-e A of ``_unit_scale``, and
-    stops at its first pivot at or below ``max(tol.absolute, 2**-e floor)
-    + tol.relative * n * ||B||_F`` (``tol.effective(B)`` for floor 0);
+    stops at its first pivot at or below ``tol.effective(B, 2**-e floor)``;
     ``floors``, in the units of A, is one per matrix or one for all. A
     step takes the first entry of largest modulus of each trailing block,
     in row-major order, swaps its row and column into place and subtracts
@@ -346,9 +348,7 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     """
     count, rows, cols = a.shape
     e, scaled = _unit_scale(a)
-    norms = _norms(scaled.reshape(count, rows * cols))[:, 0]
-    limit = (np.maximum(tol.absolute, np.ldexp(floors, -e))
-             + tol.relative * max(rows, cols) * norms)
+    limit = tol.effective(scaled, np.ldexp(floors, -e))
     # Row `rows` carries the column labels, so column swaps move them.
     out = np.empty((count, rows + 1, cols), dtype=complex)
     out[:, :rows] = scaled

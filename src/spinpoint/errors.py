@@ -7,6 +7,9 @@ numerical failures (``ConvergenceError``, ``ZeroDiscriminantError``,
 ``SheetTrackingError``).
 """
 
+__all__ = ["SpinpointError", "DimensionError", "NonFiniteError",
+           "ConvergenceError", "ZeroDiscriminantError", "SheetTrackingError"]
+
 
 class SpinpointError(Exception):
     """Base class for all package-specific errors."""

@@ -38,6 +38,18 @@ class TestNormalityReport:
         assert report.is_normal
         assert not report.is_hermitian
 
+    def test_eigensolver_failure_blanks_only_henrici(self, monkeypatch):
+        def failing_schur(a):
+            raise sp.ConvergenceError("no deflation", block_index=1)
+
+        a = CMatrix(SIGMA3 + 1j * SIGMA1)
+        expected = sp.normality_report(a)
+        monkeypatch.setattr("spinpoint.analysis.schur", failing_schur)
+        report = sp.normality_report(a)
+        assert report.henrici is None
+        assert report.defect == expected.defect > 0.0
+        assert (report.is_normal, report.is_hermitian) == (False, False)
+
     def test_hermitian_input(self, rng):
         report = sp.normality_report(random_hermitian(rng, 4))
         assert report.defect == 0.0
@@ -69,8 +81,8 @@ class TestNormalityReport:
     @pytest.mark.parametrize("k", [-45, -27, -23, -10, 0, 13, 20, 100, 300,
                                    498])
     def test_verdict_is_scale_free(self, k):
-        # The defect is quadratic in the matrix and the threshold has an
-        # absolute part, so both verdicts are taken on the matrix scaled to
+        # The defect is quadratic in the matrix and the threshold has a
+        # constant term, so both verdicts are taken on the matrix scaled to
         # unit entries: 2**k A keeps the verdicts of A; its defect is 4**k
         # and its Henrici departure 2**k those of A.
         rng = np.random.default_rng(5)
@@ -95,7 +107,7 @@ class TestNormalityReport:
             sp.hermitian_pair_is_normal(CMatrix(c * jordan), CMatrix.zeros(2))
 
     def test_tiny_jordan_block_is_not_hermitian(self):
-        # 1e-13 J_2 is within the absolute tolerance of its adjoint, but
+        # 1e-13 J_2 is within 1e-12 of its adjoint in the units of A, but
         # it is no more hermitian than J_2.
         jordan = CMatrix(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
         report = sp.normality_report(jordan)
@@ -122,6 +134,11 @@ class TestHermitianPair:
         a = random_cmatrix(rng, 3)
         with pytest.raises(ValueError):
             sp.hermitian_pair_is_normal(a, random_hermitian(rng, 3))
+
+    def test_rejects_blocks_of_different_sizes(self, rng):
+        with pytest.raises(sp.DimensionError, match="3 vs 2"):
+            sp.hermitian_pair_is_normal(random_hermitian(rng, 3),
+                                        random_hermitian(rng, 2))
 
     def test_polynomials_of_common_matrix_commute(self, rng):
         for _ in range(20):
@@ -331,8 +348,8 @@ def rank_one_nilpotent(rng, n):
 
 class TestScaleFreeVerdicts:
     """The verdicts that changed when every rank came to be taken on the
-    matrix scaled to unit entries. Each was wrong while the absolute
-    tolerance was applied in the units of A."""
+    matrix scaled to unit entries. Each was wrong while the threshold's
+    constant term was applied in the units of A."""
 
     @pytest.mark.parametrize("n,c", [(2, 1e-300), (2, 1e-320), (3, 1e-7),
                                      (3, 1e-6), (4, 1e-4)])
@@ -357,13 +374,13 @@ class TestScaleFreeVerdicts:
 
     def test_noisy_three_by_three_has_full_rank(self):
         # Oracle case 328: a 3x3 plus 1e-12 noise; its smallest pivot
-        # clears the threshold once the absolute part is in the binade of
+        # clears the threshold once its constant term is in the binade of
         # its largest entry.
         assert sp.rank(oracle_cases()[328]) == 3
 
     def test_tiny_jordan_powers_keep_their_ranks(self):
-        # The powers of 1e-5 J_4 have entries far below the absolute
-        # tolerance and keep their ranks. The verdict stays "not
+        # The powers of 1e-5 J_4 have entries far below the tolerance
+        # value and keep their ranks. The verdict stays "not
         # nilpotent": the running-maximum power test counts A^3 as zero
         # (ROADMAP item 9).
         a = CMatrix(1e-5 * np.eye(4, k=1))

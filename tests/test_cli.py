@@ -109,7 +109,7 @@ class TestRoundTrip:
 
     def test_check_tiny_jordan_block(self, run, tmp_path):
         # The rank chain is taken on each power scaled to unit entries, so
-        # the tolerance's absolute part does not swamp 1e-300 entries.
+        # the threshold's constant term does not swamp 1e-300 entries.
         path = tmp_path / "m.json"
         path.write_text(matio.to_json(CMatrix(1e-300 * np.eye(2, k=1))))
         code, out, _ = run("check", "--input", str(path))
@@ -392,6 +392,8 @@ class TestErrorPaths:
                      "invalid-spin", id="both-spin-flags"),
         pytest.param(("gen", "--op", "s1"), "invalid-spin",
                      id="no-spin-flag"),
+        pytest.param(("gen", "--twice-spin", "0", "--op", "s1"),
+                     "invalid-spin", id="twice-spin-zero"),
         pytest.param(("gen", "--spin", "1", "--op", "hz", "--z", "1"),
                      "invalid-z", id="z-one-part"),
         pytest.param(("gen", "--spin", "1", "--op", "hz", "--z", "1,i"),
@@ -403,6 +405,8 @@ class TestErrorPaths:
                      id="pencil-block-sizes"),
         pytest.param(("fermi", "--m", "{c}"), "invalid-coefficients",
                      id="fermi-3x3"),
+        pytest.param(("sweep-phi", "--steps", "1"), "invalid-steps",
+                     id="sweep-phi-one-step"),
     ])
     def test_exit_code(self, run, files, argv, error):
         code, out, err = run(*(arg.format(**files) for arg in argv))
@@ -410,7 +414,7 @@ class TestErrorPaths:
         assert err.startswith(f"{error}:")
         assert out == ""
 
-    @pytest.mark.parametrize("value", ["-1", "inf"])
+    @pytest.mark.parametrize("value", ["-1", "inf", "banana"])
     def test_invalid_tolerance(self, run, monkeypatch, value):
         monkeypatch.setenv("SPINPOINT_TOL", value)
         code, out, err = run("kernel", "--spin", "1/2", "--axis", "1")
@@ -434,15 +438,23 @@ class TestImport:
 
 class TestToleranceEnv:
     def test_env_override(self, run, tmp_path, monkeypatch):
-        # a loose tolerance flips the rank of a nearly singular matrix
+        # a loose tolerance flips the rank of a nearly singular matrix: the
+        # Fock representation diag(0, 1, 1e-8, 1 + 1e-8) of diag(1, 1e-8)
+        # has rank 3 by default and rank 2 under SPINPOINT_TOL=1e-4
         m = CMatrix(np.diag([1.0, 1e-8]))
         path = tmp_path / "m.json"
         matio.write_file(m, str(path))
         code, out, _ = run("check", "--input", str(path))
         assert json.loads(out)["nilpotency"]["is_nilpotent"] is False
+        code, out, _ = run("fermi", "--m", str(path))
+        assert code == 0
+        assert json.loads(out)["zero_multiplicity"] == 1
         monkeypatch.setenv("SPINPOINT_TOL", "1e-4")
         code, out, _ = run("kernel", "--spin", "1/2", "--axis", "1")
         assert code == 0
+        code, out, _ = run("fermi", "--m", str(path))
+        assert code == 0
+        assert json.loads(out)["zero_multiplicity"] == 2
 
     def test_invalid_env(self, run, monkeypatch):
         monkeypatch.setenv("SPINPOINT_TOL", "banana")

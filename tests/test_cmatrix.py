@@ -64,11 +64,34 @@ class TestConstruction:
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
-            Tolerance(absolute=-1.0)
+            Tolerance(value=-1.0)
         with pytest.raises(ValueError):
-            Tolerance(relative=np.inf)
+            Tolerance(value=np.inf)
         assert Tolerance().effective(CMatrix.identity(2)) == pytest.approx(
             1e-12 + 1e-12 * 2 * np.sqrt(2))
+
+    def test_tolerance_has_one_keyword_only_value(self):
+        # The spellings of the former absolute/relative pair fail loudly
+        # instead of taking a new meaning.
+        with pytest.raises(TypeError):
+            Tolerance(1e-10)
+        with pytest.raises(TypeError):
+            Tolerance(absolute=1e-10, relative=1e-10)
+        assert Tolerance(value=1e-10).value == 1e-10
+        assert sp.DEFAULT_TOLERANCE == Tolerance(value=1e-12)
+
+    def test_effective_threshold_of_one_matrix_and_of_a_stack(self, rng):
+        tol = Tolerance(value=1e-6)
+        stack = np.array([random_complex(rng, 2, 5) for _ in range(3)])
+        floors = np.array([0.0, 1e-7, 1e-3])
+        got = tol.effective(stack, floors)
+        assert got.shape == (3,)
+        for threshold, b, floor in zip(got, stack, floors):
+            assert threshold == pytest.approx(
+                max(1e-6, floor) + 1e-6 * 5 * np.linalg.norm(b), rel=1e-15)
+        # One matrix gets a Python float, its entry of the stack.
+        one = tol.effective(stack[0])
+        assert type(one) is float and one == got[0]
 
     def test_operator_sugar(self, rng):
         a = random_cmatrix(rng, 3)
@@ -224,12 +247,12 @@ class TestRank:
             assert sp.rank(rotated) == n - 1
 
     def test_rank_threshold_scaling(self):
-        # Pivots below absolute + relative * n * ||B||_F count as zero,
+        # Pivots below value + value * n * ||B||_F count as zero,
         # where B is A scaled to unit entries, so 2**k A has the rank of A.
         for k in (0, -60, 60):
             m = CMatrix(2.0 ** k * np.diag([1.0, 1e-9]))
-            assert sp.rank(m, Tolerance(absolute=1e-6, relative=0.0)) == 1
-            assert sp.rank(m, Tolerance(absolute=1e-12, relative=0.0)) == 2
+            assert sp.rank(m, Tolerance(value=1e-6)) == 1
+            assert sp.rank(m, Tolerance(value=1e-12)) == 2
 
 
 class TestNullspace:
@@ -343,8 +366,8 @@ class TestFullPivotStack:
         assert len(ranks) == len(colperms) == len(stack)
         for k, (a, floor) in enumerate(zip(stack, floors)):
             e, b = unit_scaled(a)
-            threshold = (max(tol.absolute, np.ldexp(floor, -e))
-                         + tol.relative * max(b.shape) * np.linalg.norm(b))
+            threshold = (max(tol.value, np.ldexp(floor, -e))
+                         + tol.value * max(b.shape) * np.linalg.norm(b))
             m, r, colperm = one_matrix_elimination(b, threshold)
             assert ranks[k] == r, f"matrix {k}"
             assert np.array_equal(bit_pattern(reduced[k]), bit_pattern(m)), \
@@ -384,7 +407,7 @@ class TestFullPivotStack:
         a = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-9]) @ v
         thresholds = [1e-12, 1e-8, 1e-5, 1e-3, 1e-1, 10.0]
         stack = np.array([a] * len(thresholds))
-        exact = Tolerance(0.0, 0.0)
+        exact = Tolerance(value=0.0)
         ranks = self.assert_matches_reference(stack, exact, thresholds)
         assert ranks == [5, 4, 3, 2, 1, 0]
         ranks = self.assert_matches_reference(stack[::-1].copy(), exact,
@@ -410,7 +433,7 @@ class TestFullPivotStack:
                           @ random_complex(rng, r, cols) for r in made])
         scales = 10.0 ** rng.uniform(-12, 1, size=count)
         floors = [s * np.linalg.norm(a) for s, a in zip(scales, stack)]
-        self.assert_matches_reference(stack, Tolerance(0.0, 0.0), floors)
+        self.assert_matches_reference(stack, Tolerance(value=0.0), floors)
 
     def test_empty_stack(self):
         # The rank chain of a matrix whose first power vanishes, such as
@@ -549,6 +572,10 @@ class TestPower:
         a = random_cmatrix(rng, 3)
         direct = a.data @ a.data @ a.data @ a.data @ a.data
         assert np.allclose(sp.matrix_power(a, 5).data, direct, rtol=1e-12)
+
+    def test_rejects_negative_exponent(self, rng):
+        with pytest.raises(ValueError, match="k >= 0"):
+            sp.matrix_power(random_cmatrix(rng, 3), -1)
 
 
 class TestExp:

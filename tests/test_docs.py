@@ -38,3 +38,13 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [item for item in exported if not hasattr(module, item)]
     assert not missing
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    import spinpoint
+    from spinpoint import (analysis, cmatrix, errors, exceptional, fermi,
+                           kernel, spins)
+    modules = (analysis, cmatrix, errors, exceptional, fermi, kernel, spins)
+    union = {name for module in modules for name in module.__all__}
+    assert set(spinpoint.__all__) == union
+    assert len(spinpoint.__all__) == len(union) == 55

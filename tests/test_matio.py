@@ -1,5 +1,7 @@
 """Serialization round-trips and format validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,40 @@ class TestMatrixMarket:
         with pytest.raises(ValueError):
             matio.from_matrix_market(text)
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("2 2\n1.0 0.0", "missing %%MatrixMarket header",
+                     id="no-header"),
+        pytest.param("%%MatrixMarket matrix array complex", "malformed header",
+                     id="short-header"),
+        pytest.param("%%MatrixMarket matrix array complex general\n% note",
+                     "missing size line", id="no-size-line"),
+        pytest.param("%%MatrixMarket matrix array complex general\n1 1 1\n"
+                     "1.0 0.0", "array format expects", id="array-size-line"),
+        pytest.param("%%MatrixMarket matrix coordinate complex general\n1 1\n"
+                     "1 1 1.0 0.0", "coordinate format expects",
+                     id="coordinate-size-line"),
+        pytest.param("%%MatrixMarket matrix coordinate complex general\n"
+                     "2 2 2\n1 1 1.0 0.0", "expected 2 entry lines, got 1",
+                     id="entry-count"),
+        pytest.param("%%MatrixMarket matrix coordinate complex general\n"
+                     "2 2 1\n3 1 1.0 0.0", "index out of range",
+                     id="index-out-of-range"),
+        pytest.param("%%MatrixMarket matrix banded complex general\n1 1\n"
+                     "1.0 0.0", "unsupported layout 'banded'",
+                     id="unknown-layout"),
+    ])
+    def test_refusals(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            matio.from_matrix_market(text)
+
 
 class TestDispatch:
+    def test_write_rejects_unknown_format(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        with pytest.raises(ValueError, match="unknown format 'csv'"):
+            matio.write_file(CMatrix.identity(2), str(path), fmt="csv")
+        assert not path.exists()
+
     def test_sniffs_format(self, rng, tmp_path):
         m = random_cmatrix(rng, 3)
         for fmt in ("json", "mm"):
