@@ -7,22 +7,22 @@ bulge chase (Golub and Van Loan, *Matrix Computations*, section 7.5),
 which applies each Givens rotation once; a single shift is ample for the
 dimensions this package targets (n up to a few dozen).
 
-Two loops run that chase. ``schur_decompose`` takes one matrix and
-chases on its rows as lists of Python ``complex``: at these sizes a
-rotation is a few scalar multiply-adds per entry, which numpy's per-call
-overhead would dominate. With ``want_q`` each rotation is applied to
-all of T that it changes and to Q; without it, to the active block only
-(LAPACK ``zlahqr`` with ``wantt = wantz = false``): no Q, and only T's
-diagonal is meaningful. ``_eigenvalues_stack`` takes an ``(N, n, n)``
-stack and returns eigenvalues only: every matrix keeps its own active
-block, shift and stall count, and one sweep chases all of them in
-lockstep, so the interpreter overhead of a rotation is paid once per
-stack, not once per matrix. It chases the stack transposed to
-``(n, n, N)``, matrix index last: entry (i, j) of every matrix is one
-contiguous vector, and each rotation updates contiguous blocks in
-place. A sweep deflates every matrix in one step, then rotates, with
-``np.where`` masks only where the matrices differ. Both loops share the
-Hessenberg reduction and the deflation test.
+Two loops run that chase. ``_schur_stack`` scales and reduces an
+``(N, n, n)`` stack in one call each, then chases each matrix on its
+rows as lists of Python ``complex``: at these sizes a rotation is a few
+scalar multiply-adds per entry, which numpy's per-call overhead would
+dominate. ``schur_decompose`` is its stack of one. With ``want_q`` each
+rotation is applied to all of T that it changes and to Q; without it, to
+the active block only (LAPACK ``zlahqr`` with ``wantt = wantz =
+false``): no Q, and only T's diagonal is meaningful.
+``_eigenvalues_stack`` returns eigenvalues only: every matrix keeps its
+own active block, shift and stall count, and one sweep chases all of
+them in lockstep, so the interpreter overhead of a rotation is paid once
+per stack, not once per matrix. It chases the stack transposed to
+``(n, n, N)``, matrix index last, so each rotation updates contiguous
+blocks in place, with ``np.where`` masks only where the matrices differ.
+Both loops share the deflation test and the Hessenberg reduction, which
+skips a stack that is already upper Hessenberg.
 
 Both loops first scale each matrix by ``_unit_scale``, as every rank and
 normality verdict does, and scale the result back. That is exact: it
@@ -84,7 +84,8 @@ def hessenberg(a: np.ndarray, want_q: bool = True
 
     Returns ``(H, Q)`` with Q unitary (accumulated Householder
     reflections), or None when ``want_q`` is false, and H zero below the
-    first subdiagonal.
+    first subdiagonal. A stack already zero there (companion matrices,
+    the tridiagonal spin pencils) comes back as it is, with Q = I.
     """
     n = a.shape[-1]
     h = np.array(a, dtype=complex)
@@ -92,6 +93,9 @@ def hessenberg(a: np.ndarray, want_q: bool = True
     if want_q:
         q = np.empty_like(h)
         q[...] = np.eye(n, dtype=complex)
+    # Column by column, so that a full matrix fails at its first column.
+    if n > 2 and not any(h[..., k + 2:, k].any() for k in range(n - 2)):
+        return h, q
     for k in range(n - 2):
         # Reflect x onto the phase of its pivot (onto 1 for a zero pivot).
         # A zero x leaves v = 0, and the reflection is the identity.
@@ -147,17 +151,26 @@ def schur_decompose(a: np.ndarray, want_q: bool = True
         ``SWEEP_BUDGET_PER_DIM * n`` QR steps. The error carries the
         block index.
     """
-    n = a.shape[0]
+    t, q = _schur_stack(a[None], want_q)
+    return t[0], None if q is None else q[0]
+
+
+def _schur_stack(a: np.ndarray, want_q: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``schur_decompose`` of each matrix of an ``(N, n, n)`` stack, as
+    stacks of T and Q. Each matrix is chased alone, in stack order, so it
+    gets its own result, and the first to exceed its budget raises."""
+    n = a.shape[-1]
     e, scaled = _unit_scale(a)
     h, q = hessenberg(scaled, want_q)
-    floor = _EPS * float(np.linalg.norm(h))
     rows = h.tolist()
-    q_rows = None if q is None else q.tolist()
-    _chase(rows, q_rows, floor)
-    # Enforce the triangular structure the iteration produced.
-    for i in range(1, n):
-        rows[i][:i] = [0j] * i
-    return (_ldexp(np.array(rows, dtype=complex), e),
+    q_rows = [None] * len(rows) if q is None else q.tolist()
+    for m, t, u in zip(h, rows, q_rows):
+        _chase(t, u, _EPS * float(np.linalg.norm(m)))
+        # Enforce the triangular structure the iteration produced.
+        for i in range(1, n):
+            t[i][:i] = [0j] * i
+    return (_ldexp(np.array(rows, dtype=complex), e[:, None, None]),
             None if q is None else np.array(q_rows, dtype=complex))
 
 

@@ -30,7 +30,9 @@ bit:
 - The Faddeev-LeVerrier recursion behind ``char_poly``.
 
 ``det`` and ``char_poly`` pass a stack of one; the EP locator passes the
-matrices at all its discriminant sample nodes in one call.
+matrices at all its discriminant sample nodes in one call. The scalar
+Schur chase takes stacks too: ``eigenvalues`` and ``schur`` pass one
+matrix, the EP locator all its roots, then each Newton round's iterates.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schur import _norms, _unit_scale, schur_decompose
+from ._schur import _norms, _schur_stack, _unit_scale, schur_decompose
 from .errors import DimensionError, NonFiniteError
 
 __all__ = [
@@ -438,7 +440,18 @@ def eigenvalues(a: CMatrix) -> np.ndarray:
     """
     a.require_square("eigenvalues")
     vals = np.diag(schur_decompose(a.data, want_q=False)[0])
-    return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+    return vals[_modulus_order(vals)]
+
+
+def _spectra(a: np.ndarray) -> np.ndarray:
+    """``eigenvalues`` of each matrix of an ``(N, n, n)`` stack, by rows."""
+    vals = np.diagonal(_schur_stack(a, want_q=False)[0], axis1=-2, axis2=-1)
+    return np.take_along_axis(vals, _modulus_order(vals), axis=-1)
+
+
+def _modulus_order(vals: np.ndarray) -> np.ndarray:
+    """The order of ``eigenvalues`` along the last axis of ``vals``."""
+    return np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
 
 
 def schur(a: CMatrix) -> SchurForm:

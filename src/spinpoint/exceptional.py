@@ -32,7 +32,7 @@ import numpy as np
 
 from ._schur import _eigenvalues_stack
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _char_poly,
-                      _det_lu, _full_pivot_eliminate, eigenvalues,
+                      _det_lu, _full_pivot_eliminate, _spectra, eigenvalues,
                       frobenius_norm)
 from .errors import (DimensionError, NonFiniteError, SheetTrackingError,
                      ZeroDiscriminantError)
@@ -251,11 +251,6 @@ def _pair_distances(values: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _closest_pair_mean(values: np.ndarray) -> complex:
-    i, j = divmod(int(_pair_distances(values).argmin()), len(values))
-    return complex((values[i] + values[j]) / 2.0)
-
-
 def _min_gap(values: np.ndarray) -> np.ndarray:
     """Smallest pairwise distance of each row (inf for a single value)."""
     return _pair_distances(values).min(axis=(-2, -1))
@@ -275,8 +270,9 @@ def _linked(points: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.flatnonzero(reach[i]) for i in range(count) if first[i] == i]
 
 
-def _spectral_disc(eigs: np.ndarray) -> complex:
-    """D(z) from the eigenvalues of H(z).
+def _spectral_disc(eigs: np.ndarray, pairs: tuple) -> complex:
+    """D(z) from the eigenvalues of H(z); ``pairs`` is
+    ``np.triu_indices(n, 1)``.
 
     With char_poly's leading coefficient (-1)^n and the Sylvester layout
     above, D = (-1)^(n(n+1)/2) prod_{i<j} (l_i - l_j)^2. Unlike the
@@ -284,30 +280,44 @@ def _spectral_disc(eigs: np.ndarray) -> complex:
     close to another root.
     """
     n = len(eigs)
-    i, j = np.triu_indices(n, 1)
+    i, j = pairs
     sign = (-1) ** (n * (n + 1) // 2)
     return sign * complex(np.prod((eigs[i] - eigs[j]) ** 2))
 
 
-def _polish(pencil: PencilFamily, slope: np.ndarray, z: complex,
-            eigs: np.ndarray) -> tuple[complex, np.ndarray, bool]:
-    """Newton on D from a simple root z with eigenvalues ``eigs``.
+def _polish(pencil: PencilFamily, slope: np.ndarray, roots: np.ndarray,
+            spectra: np.ndarray) -> list[tuple[complex, np.ndarray, bool]]:
+    """Newton on D from each simple root of ``roots``, whose eigenvalues
+    are the rows of ``spectra``.
 
     D comes from the spectrum, D' from the recovered coefficients
-    (``slope``, high to low). Returns the last point, its eigenvalues and
-    True once the next step is below the tolerance; a step that fails to
-    halve the previous one ends the iteration with False.
+    (``slope``, high to low). A round takes every live root's step on
+    Python scalars, then solves H at all the roots that moved in one
+    stacked call. Returns, per root, its last point, that point's
+    eigenvalues and True once the next step is below the tolerance; a
+    step that fails to halve the previous one ends the root's iteration
+    with False.
     """
-    previous = np.inf
-    while True:
-        step = _spectral_disc(eigs) / complex(np.polyval(slope, z))
-        if abs(step) <= _NEWTON_STEP_TOL * (1.0 + abs(z)):
-            return z, eigs, True
-        if not abs(step) <= 0.5 * previous:
-            return z, eigs, False
-        z -= step
-        eigs = np.asarray(eigenvalues(pencil.at(z)))
-        previous = abs(step)
+    pairs = np.triu_indices(spectra.shape[-1], 1)
+    zs, eigs = roots.tolist(), list(spectra)
+    previous, converged = [np.inf] * len(zs), [False] * len(zs)
+    live = range(len(zs))
+    while live:
+        moving = []
+        for r in live:
+            step = (_spectral_disc(eigs[r], pairs)
+                    / complex(np.polyval(slope, zs[r])))
+            converged[r] = abs(step) <= _NEWTON_STEP_TOL * (1.0 + abs(zs[r]))
+            if not converged[r] and abs(step) <= 0.5 * previous[r]:
+                zs[r] -= step
+                previous[r] = abs(step)
+                moving.append(r)
+        if moving:
+            solved = _spectra(pencil._stack([zs[r] for r in moving]))
+            for r, row in zip(moving, solved):
+                eigs[r] = row
+        live = moving
+    return list(zip(zs, eigs, converged))
 
 
 def _locate(pencil: PencilFamily, coeffs: np.ndarray,
@@ -323,22 +333,20 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     the eigenvalues separate, or, when it falls on a further degeneracy,
     lies much closer to that degeneracy's own roots than to the rest.
     Any other group is relinked at half the radius until it splits. A
-    group reports its centroid; a single root is polished. The spectrum
-    at each root comes from ``eigenvalues``, one root at a time: a
-    lockstep QR sweep costs about the same whatever the stack size, and
-    for these few, near-defective matrices the scalar chase is cheaper.
+    group reports its centroid; a single root is polished. The spectra
+    at all roots come from one stacked solve on the scalar chase, and
+    the single roots are polished together once the groups are split.
     """
-    spectra = np.array([eigenvalues(pencil.at(z)) for z in roots])
+    spectra = _spectra(pencil._stack(roots))
     gaps = _min_gap(spectra)
-    slope = np.polyder(coeffs[::-1])
-    found = []
+    found, single = [], []
     pending = [(np.arange(len(roots)),
                 float(np.ptp(roots.real) + np.ptp(roots.imag)))]
     while pending:
         members, radius = pending.pop()
         if len(members) == 1:
-            i = members[0]
-            found.append(_polish(pencil, slope, complex(roots[i]), spectra[i]))
+            single.append(members[0])
+            found.append(None)
             continue
         centroid = complex(roots[members].mean())
         offsets = np.abs(roots[members] - centroid)
@@ -352,7 +360,9 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
             radius /= 2.0
             parts = _linked(roots[members], radius)
         pending += [(members[part], radius) for part in parts]
-    return found
+    polished = iter(_polish(pencil, np.polyder(coeffs[::-1]),
+                            roots[single], spectra[single]))
+    return [next(polished) if f is None else f for f in found]
 
 
 def find_exceptional_points(pencil: PencilFamily,
@@ -365,9 +375,9 @@ def find_exceptional_points(pencil: PencilFamily,
     centroid and the spread of the members around it. A multiple root
     contributes one candidate at its group's centroid, a simple root is
     polished by Newton iteration on D. Every candidate is certified by the
-    eigenvalue gap of H(z) and sorted by modulus then argument. A 1x1
-    pencil, or one whose discriminant is a nonzero constant, has no
-    degenerate eigenvalue and gives no candidate.
+    eigenvalue gap of H(z), all in one array pass, and sorted by modulus
+    then argument. A 1x1 pencil, or one whose discriminant is a nonzero
+    constant, has no degenerate eigenvalue and gives no candidate.
     """
     n = pencil.size
     if n < 2:
@@ -376,27 +386,28 @@ def find_exceptional_points(pencil: PencilFamily,
     if len(coeffs) < 2:
         return []
     roots = _companion_roots(coeffs)
-    norm_a = frobenius_norm(pencil.a)
-    norm_b = frobenius_norm(pencil.b)
-    fields, shifted, floors = [], [], []
-    for z, eigs, converged in _locate(pencil, coeffs, roots):
-        e = _closest_pair_mean(eigs)
-        gap = float(_min_gap(eigs))
-        disc_residual = abs(complex(np.polyval(coeffs[::-1], z))) / disc_scale
-        scale = 1.0 + norm_a + abs(z) * norm_b
-        accepted = gap <= _GAP_CERTIFICATION * scale and \
-            disc_residual <= _GAP_CERTIFICATION
-        fields.append(dict(
-            z=z, degenerate_eigenvalue=e, gap=gap,
-            discriminant_residual=disc_residual, newton_converged=converged,
-            accepted=accepted))
-        shifted.append(pencil.at(z).data - e * np.eye(n))
-        floors.append(10.0 * gap)
+    zs, eigs, converged = zip(*_locate(pencil, coeffs, roots))
+    zs, eigs = np.array(zs), np.array(eigs)
+    # The degenerate eigenvalue is the mean of the closest pair. Moduli
+    # come from hypot, which rounds like abs() of one complex.
+    dist = _pair_distances(eigs)
+    gaps = dist.min(axis=(-2, -1))
+    line = np.arange(len(zs))
+    i, j = np.divmod(dist.reshape(len(zs), -1).argmin(axis=-1), n)
+    mean = (eigs[line, i] + eigs[line, j]) / 2.0
+    disc = np.polyval(coeffs[::-1], zs)
+    residuals = np.hypot(disc.real, disc.imag) / disc_scale
+    scales = 1.0 + frobenius_norm(pencil.a) \
+        + np.hypot(zs.real, zs.imag) * frobenius_norm(pencil.b)
+    accepted = (gaps <= _GAP_CERTIFICATION * scales) \
+        & (residuals <= _GAP_CERTIFICATION)
     # The geometric ranks of H(z) - E, pivots up to 10 gap counting as
     # zero, all candidates in one elimination.
-    ranks = _full_pivot_eliminate(np.array(shifted), tol, floors)[1]
-    candidates = [EPCandidate(geometric_multiplicity=n - r, **f)
-                  for f, r in zip(fields, ranks)]
+    shifted = pencil._stack(zs) - mean[:, None, None] * np.eye(n)
+    ranks = _full_pivot_eliminate(shifted, tol, 10.0 * gaps)[1]
+    candidates = [EPCandidate(*fields) for fields in zip(
+        zs.tolist(), mean.tolist(), gaps.tolist(), residuals.tolist(),
+        converged, [n - r for r in ranks], accepted.tolist())]
     candidates.sort(key=lambda c: (abs(c.z), np.angle(c.z)))
     return candidates
 

@@ -188,3 +188,115 @@ def eigenvalues_stack_reference(a):
             np.multiply(right, cc, out=right)
             right -= left * sc
             left[...] = column
+
+
+def hessenberg_reference(a, want_q=True):
+    """Reference: the Householder reduction of ``_schur.hessenberg``
+    without its early return for input already upper Hessenberg, the
+    loop that reduces every stack with a member that is not Hessenberg,
+    bit for bit."""
+    n = a.shape[-1]
+    h = np.array(a, dtype=complex)
+    q = None
+    if want_q:
+        q = np.empty_like(h)
+        q[...] = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        x = h[..., k + 1:, k]
+        pivot = x[..., :1]
+        size = np.hypot(pivot.real, pivot.imag)
+        flat = size == 0.0
+        v = x.copy()
+        v[..., :1] += (pivot + flat) / (size + flat) * schur._norms(x)
+        norm_v = schur._norms(v)
+        v /= norm_v + (norm_v == 0.0)
+        col, row = v[..., :, None], v.conj()[..., None, :]
+        h[..., k + 1:, k:] -= 2.0 * (col * (row @ h[..., k + 1:, k:]))
+        h[..., :, k + 1:] -= 2.0 * ((h[..., :, k + 1:] @ col) * row)
+        if q is not None:
+            q[..., :, k + 1:] -= 2.0 * ((q[..., :, k + 1:] @ col) * row)
+        h[..., k + 2:, k] = 0.0
+    return h, q
+
+
+def find_exceptional_points_reference(pencil):
+    """Reference: ``find_exceptional_points`` solving one root at a time,
+    the stage the stacked locator must reproduce field for field. The
+    spectrum at each root, each Newton step's and each candidate's
+    certificate come one at a time from ``eigenvalues`` and scalar
+    arithmetic."""
+    from spinpoint import (DEFAULT_TOLERANCE, EPCandidate, eigenvalues,
+                           frobenius_norm)
+    from spinpoint import exceptional as ex
+    from spinpoint.cmatrix import _full_pivot_eliminate
+
+    n = pencil.size
+    if n < 2:
+        return []
+    coeffs, disc_scale = ex._discriminant(pencil)
+    if len(coeffs) < 2:
+        return []
+    roots = ex._companion_roots(coeffs)
+    pairs = np.triu_indices(n, 1)
+
+    def polish(slope, z, eigs):
+        previous = np.inf
+        while True:
+            step = (ex._spectral_disc(eigs, pairs)
+                    / complex(np.polyval(slope, z)))
+            if abs(step) <= ex._NEWTON_STEP_TOL * (1.0 + abs(z)):
+                return z, eigs, True
+            if not abs(step) <= 0.5 * previous:
+                return z, eigs, False
+            z -= step
+            eigs = np.asarray(eigenvalues(pencil.at(z)))
+            previous = abs(step)
+
+    spectra = np.array([eigenvalues(pencil.at(z)) for z in roots])
+    gaps = ex._min_gap(spectra)
+    slope = np.polyder(coeffs[::-1])
+    found = []
+    pending = [(np.arange(len(roots)),
+                float(np.ptp(roots.real) + np.ptp(roots.imag)))]
+    while pending:
+        members, radius = pending.pop()
+        if len(members) == 1:
+            i = members[0]
+            found.append(polish(slope, complex(roots[i]), spectra[i]))
+            continue
+        centroid = complex(roots[members].mean())
+        offsets = np.abs(roots[members] - centroid)
+        if offsets.max() <= 2.0 * offsets.min():
+            eigs = np.asarray(eigenvalues(pencil.at(centroid)))
+            if ex._min_gap(eigs) <= gaps[members].min():
+                found.append((centroid, eigs, False))
+                continue
+        parts = [members]
+        while len(parts) == 1:
+            radius /= 2.0
+            parts = ex._linked(roots[members], radius)
+        pending += [(members[part], radius) for part in parts]
+
+    norm_a = frobenius_norm(pencil.a)
+    norm_b = frobenius_norm(pencil.b)
+    fields, shifted, floors = [], [], []
+    for z, eigs, converged in found:
+        i, j = divmod(int(ex._pair_distances(eigs).argmin()), len(eigs))
+        e = complex((eigs[i] + eigs[j]) / 2.0)
+        gap = float(ex._min_gap(eigs))
+        disc_residual = abs(complex(np.polyval(coeffs[::-1], z))) / disc_scale
+        scale = 1.0 + norm_a + abs(z) * norm_b
+        accepted = gap <= ex._GAP_CERTIFICATION * scale and \
+            disc_residual <= ex._GAP_CERTIFICATION
+        fields.append(dict(
+            z=z, degenerate_eigenvalue=e, gap=gap,
+            discriminant_residual=disc_residual, newton_converged=converged,
+            accepted=accepted))
+        shifted.append(pencil.at(z).data - e * np.eye(n))
+        floors.append(10.0 * gap)
+    ranks = _full_pivot_eliminate(np.array(shifted), DEFAULT_TOLERANCE,
+                                  floors)[1]
+    candidates = [EPCandidate(geometric_multiplicity=n - r, **f)
+                  for f, r in zip(fields, ranks)]
+    candidates.sort(key=lambda c: (abs(c.z), np.angle(c.z)))
+    return candidates

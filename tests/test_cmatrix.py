@@ -12,8 +12,8 @@ from spinpoint.errors import DimensionError, NonFiniteError
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
                       det_lu_reference, eigenvalues_stack_reference,
-                      paired_spectra, random_complex, random_cmatrix,
-                      random_hermitian, random_unitary)
+                      hessenberg_reference, paired_spectra, random_complex,
+                      random_cmatrix, random_hermitian, random_unitary)
 
 
 class TestConstruction:
@@ -848,6 +848,110 @@ class TestEigenvalueStack:
             engine._eigenvalues_stack(stack)
         assert info.value.block_index is not None
         assert 0 < info.value.block_index <= n - 1
+
+
+class TestSchurStack:
+    """``_schur_stack``: one scaling and one reduction for the whole stack,
+    then the scalar chase on each matrix, which gets the arithmetic that
+    ``schur_decompose`` gives it alone, bit for bit."""
+
+    def test_matches_schur_decompose(self, rng):
+        from spinpoint._schur import _schur_stack, schur_decompose
+        for n in range(1, 27):
+            stack = TestEigenvalueStack.mixed_stack(rng, n)
+            for want_q in (True, False):
+                t, q = _schur_stack(stack, want_q)
+                assert t.shape == stack.shape
+                assert (q is None) != want_q
+                for i, a in enumerate(stack):
+                    t_alone, q_alone = schur_decompose(a, want_q)
+                    assert np.array_equal(bit_pattern(t[i]),
+                                          bit_pattern(t_alone)), f"n={n}"
+                    if want_q:
+                        assert np.array_equal(bit_pattern(q[i]),
+                                              bit_pattern(q_alone)), f"n={n}"
+
+    @pytest.mark.parametrize("want_q", [True, False])
+    def test_budget_error_names_the_failing_matrix(self, monkeypatch, want_q):
+        # With one QR step per dimension the diagonal matrices deflate at
+        # once, and the cyclic shift in the leading block of the second
+        # does not: its block ends at index 2.
+        import spinpoint._schur as engine
+        from spinpoint.errors import ConvergenceError
+        monkeypatch.setattr(engine, "SWEEP_BUDGET_PER_DIM", 1)
+        diag = np.diag(np.arange(6) + 1.0)
+        cycling = diag.copy()
+        cycling[:3, :3] = np.roll(np.eye(3), 1, axis=0)
+        with pytest.raises(ConvergenceError) as alone:
+            engine.schur_decompose(cycling, want_q)
+        with pytest.raises(ConvergenceError) as info:
+            engine._schur_stack(np.array([diag, cycling, diag]), want_q)
+        assert info.value.block_index == alone.value.block_index == 2
+        assert str(info.value) == str(alone.value)
+
+
+class TestHessenbergInput:
+    """``hessenberg`` returns a stack that is already upper Hessenberg as
+    it is, with Q = I; any other stack is reduced in full, bit for bit as
+    by ``hessenberg_reference``."""
+
+    @staticmethod
+    def hessenberg_kinds(rng, n):
+        companion = np.eye(n, k=-1, dtype=complex)
+        companion[:, -1] = random_complex(rng, n)[0]
+        return [np.triu(random_complex(rng, n), -1),
+                np.tril(np.triu(random_complex(rng, n), -1), 1),
+                companion,
+                np.zeros((n, n)),
+                np.eye(n, k=1)]
+
+    def test_hessenberg_input_comes_back_unchanged(self, rng):
+        from spinpoint._schur import hessenberg
+        for n in range(1, 27):
+            stack = np.array(self.hessenberg_kinds(rng, n), dtype=complex)
+            for a in (stack[0], stack):
+                for want_q in (True, False):
+                    h, q = hessenberg(a, want_q)
+                    assert np.array_equal(bit_pattern(h), bit_pattern(a))
+                    assert h is not a
+                    if want_q:
+                        assert np.array_equal(q, np.broadcast_to(np.eye(n),
+                                                                 a.shape))
+                    else:
+                        assert q is None
+
+    def test_one_member_not_hessenberg_reduces_the_stack(self, rng):
+        from spinpoint._schur import hessenberg
+        for n in range(3, 27):
+            # A full matrix, and ones with a single entry below the
+            # subdiagonal, in the first column or in the last one checked.
+            corner = np.zeros((n, n), dtype=complex)
+            corner[n - 1, n - 3] = 0.5j
+            for full in (random_complex(rng, n), np.eye(n, k=-2), corner):
+                stack = np.array(self.hessenberg_kinds(rng, n) + [full])
+                for a in (full, stack):
+                    for want_q in (True, False):
+                        h, q = hessenberg(a, want_q)
+                        h_ref, q_ref = hessenberg_reference(a, want_q)
+                        assert np.array_equal(bit_pattern(h),
+                                              bit_pattern(h_ref)), f"n={n}"
+                        if want_q:
+                            assert np.array_equal(bit_pattern(q),
+                                                  bit_pattern(q_ref))
+
+    def test_spin_sheets_match_closed_form_at_one(self):
+        # s3 + z s1 is tridiagonal, so no reflection touches it; its
+        # eigenvalues are m sqrt(1 + z^2), m = s, s - 1, ..., -s.
+        from spinpoint._schur import _eigenvalues_stack
+        for twice in range(2, 26):
+            mats = sp.spin_matrices(sp.Spin(twice))
+            h = mats.s3.data + 1.0 * mats.s1.data
+            exact = (twice / 2.0 - np.arange(twice + 1)) * np.sqrt(2.0)
+            for got in (sp.eigenvalues(CMatrix(h)),
+                        _eigenvalues_stack(h[None])[0]):
+                got, want = paired_spectra(got, exact)
+                assert np.abs(got - want).max() <= 1e-14 * (twice + 1), \
+                    f"2s={twice}"
 
 
 def sheet_trace_node_stacks():

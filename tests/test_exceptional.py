@@ -14,8 +14,8 @@ from spinpoint.exceptional import _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
                       det_lu_reference, eigenvalues_stack_reference,
-                      paired_spectra, random_cmatrix, random_complex,
-                      random_unitary)
+                      find_exceptional_points_reference, paired_spectra,
+                      random_cmatrix, random_complex, random_unitary)
 
 
 def hermitian_example():
@@ -237,7 +237,8 @@ class TestDiscriminant:
                 PencilFamily(a=CMatrix(a), b=CMatrix(b)))[0]
             for z in (0.3 + 0.2j, -1.1 + 0.5j):
                 expected = np.polyval(coeffs[::-1], z)
-                got = _spectral_disc(np.linalg.eigvals(a + z * b))
+                got = _spectral_disc(np.linalg.eigvals(a + z * b),
+                                     np.triu_indices(n, 1))
                 assert abs(got - expected) <= 1e-8 * abs(expected)
 
     def test_sample_stacks_match_one_matrix_loops(self):
@@ -442,6 +443,76 @@ class TestFindExceptionalPoints:
         pencil = PencilFamily(a=CMatrix(a), b=CMatrix(b))
         assert len(exceptional._discriminant(pencil)[0]) == 1
         assert find_exceptional_points(pencil) == []
+
+
+EP_FIELDS = ("z", "degenerate_eigenvalue", "gap", "discriminant_residual",
+             "newton_converged", "geometric_multiplicity", "accepted")
+
+
+def stacked_locator_cases():
+    """Seeded complex Gaussian pencils at n = 2, 3, 4 and the spin pencils
+    s3 + z s1 and s3 + z s2 at 2s = 2..5, whose groups report centroids."""
+    cases = []
+    rng = np.random.default_rng(2929)
+    for n in (2, 3, 4):
+        cases += [(f"random-n{n}-{k}", random_complex(rng, n),
+                   random_complex(rng, n)) for k in range(6)]
+    for twice in range(2, 6):
+        mats = sp.spin_matrices(Spin(twice))
+        cases += [(f"spin{twice}-s1", mats.s3.data, mats.s1.data),
+                  (f"spin{twice}-s2", mats.s3.data, mats.s2.data)]
+    return cases
+
+
+def fields_of(result):
+    """repr and type of every field of every candidate, or the type and
+    message of the error raised."""
+    try:
+        candidates = result()
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+    return [[(repr(getattr(c, f)), type(getattr(c, f))) for f in EP_FIELDS]
+            for c in candidates]
+
+
+class TestStackedLocator:
+    """The locator solves its spectra as stacks: all roots in one call,
+    every Newton round in one call, every candidate certified in one
+    array pass. Each candidate equals, field for field, that of the
+    one-root-at-a-time stage (``find_exceptional_points_reference``)."""
+
+    @pytest.mark.parametrize("name, a, b", stacked_locator_cases(),
+                             ids=[c[0] for c in stacked_locator_cases()])
+    def test_candidates_match_one_root_at_a_time(self, name, a, b):
+        pencil = PencilFamily(a=CMatrix(a), b=CMatrix(b))
+        got = fields_of(lambda: find_exceptional_points(pencil))
+        want = fields_of(lambda: find_exceptional_points_reference(pencil))
+        assert got == want
+        if name.startswith("spin"):
+            # Every EP of a spin pencil is a multiple root of D, reported
+            # at its group's centroid.
+            assert len(got) == 2
+            assert all(row[4][0] == "False" for row in got)
+
+    def test_one_solve_for_all_roots_and_one_per_newton_round(
+            self, rng, monkeypatch):
+        sizes = []
+        solve = exceptional._spectra
+
+        def counted(stack):
+            sizes.append(len(stack))
+            return solve(stack)
+
+        monkeypatch.setattr(exceptional, "_spectra", counted)
+        pencil = PencilFamily(a=CMatrix(random_complex(rng, 4)),
+                              b=CMatrix(random_complex(rng, 4)))
+        candidates = find_exceptional_points(pencil)
+        assert len(candidates) == 12
+        assert all(c.newton_converged for c in candidates)
+        # The twelve roots at once, then per round the roots that moved.
+        assert sizes[0] == 12
+        assert len(sizes) > 1
+        assert sizes[1:] == sorted(sizes[1:], reverse=True)
 
 
 def located(a, b):
