@@ -284,6 +284,8 @@ def phi_family(phi: float) -> PhiFamilyPoint:
     copies. ``in_range`` flags phi outside [0, pi/2]; the formulas
     remain valid there.
     """
+    if isinstance(phi, (bool, np.bool_)):
+        raise ValueError(f"phi must be a number, not {phi!r}")
     phase = np.exp(1j * phi)
     matrix = CMatrix([[1.0, phase], [phase, -1.0]])
     lam = np.sqrt(1.0 + np.exp(2j * phi))

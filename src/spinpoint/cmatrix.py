@@ -19,10 +19,11 @@ lockstep, each matrix getting the arithmetic it would get alone, bit for
 bit:
 
 - The full-pivot elimination stops a matrix, scaled to unit entries, at
-  its first pivot at or below the tolerance for it. ``rank`` and
-  ``nullspace`` pass a stack of one, and callers that need many ranks at
-  once (the rank chain of ``nilpotency_report``, the geometric
-  multiplicities of the EP locator) pass them all in one call.
+  its first pivot at or below the tolerance for it. The rank chain of
+  ``nilpotency_report`` and the EP locator's multiplicities pass all
+  their matrices in one call (stops at the stack's tail leave a view);
+  the last live matrix, and the stack of one of ``rank`` and
+  ``nullspace``, is eliminated alone on plain 2-D indexing.
 - The partially pivoted LU behind ``det`` drops a matrix from the
   working stack at its first exactly zero pivot column (det 0). Each
   determinant is the product of its pivots formed on scalars, in
@@ -83,19 +84,25 @@ class Tolerance:
     value: float = 1e-12
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"tolerance must be finite and nonnegative, "
-                             f"got {self.value}")
+        if (isinstance(self.value, (bool, np.bool_))
+                or not np.isfinite(self.value) or self.value < 0.0):
+            raise ValueError(f"tolerance value must be a finite and "
+                             f"nonnegative number, got {self.value!r}")
 
     def effective(self, b: "CMatrix | np.ndarray", floors=0.0):
         """``max(value, floor) + value * n * ||b||_F``, n the larger
         extent: a float for one matrix b, an array for an ``(N, rows,
         cols)`` stack, with one floor each or one for all. The norm is
-        that of ``_norms``, unguarded against overflow: b is meant to be
-        scaled to unit entries."""
+        that of ``_norms``, taken where it overflows on b scaled by the
+        power of two of ``_unit_scale``; inf only past the float range."""
         b = b.data if isinstance(b, CMatrix) else np.asarray(b)
         rows, cols = b.shape[-2:]
-        norms = _norms(b.reshape(b.shape[:-2] + (rows * cols,)))[..., 0]
+        with np.errstate(over="ignore"):
+            norms = _norms(b.reshape(b.shape[:-2] + (rows * cols,)))[..., 0]
+            if not np.isfinite(norms.sum()):
+                big = ~np.isfinite(norms)
+                e, scaled = _unit_scale(b[big].reshape(-1, 1, rows * cols))
+                norms[big] = np.ldexp(_norms(scaled)[:, 0, 0], e)
         limit = (np.maximum(self.value, floors)
                  + self.value * max(rows, cols) * norms)
         return limit if b.ndim > 2 else float(limit)
@@ -343,6 +350,11 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     in row-major order, swaps its row and column into place and subtracts
     the broadcast product of the pivot row and the multipliers from the
     rows below, so each matrix gets the arithmetic it would get alone.
+    Matrices that stop at the tail of the working stack (every step of a
+    rank chain of powers) leave it as a slice of the output, any others
+    as a copy. The last live matrix, and a stack of one from the start,
+    goes on alone: one ``argmax``, a Python ``divmod``, a float stop test
+    and plain 2-D swaps, a swap of a row or column with itself skipped.
 
     Returns the reduced matrices B (each upper triangular in its leading
     r x r block), the ranks r and the column permutations applied to
@@ -358,22 +370,26 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     ranks = [min(rows, cols)] * count
     # live: the stack index of each working matrix; every: 0..len(live)-1.
     live = every = np.arange(count)
-    work = out
-    for r in range(min(rows, cols)):
+    work, copied, r = out, False, 0
+    while len(live) > 1 and r < min(rows, cols):
         block = np.abs(work[:, r:rows, r:]).reshape(len(live),
                                                     (rows - r) * (cols - r))
         flat = block.argmax(axis=1)
         small = block[every, flat] <= limit
-        if np.count_nonzero(small):
+        left = len(live) - np.count_nonzero(small)
+        if left < len(live):
             stopped = live[small]
             for k in stopped.tolist():
                 ranks[k] = r
-            if len(stopped) == len(live):
+            if not left:
                 break
-            out[stopped] = work[small]
-            keep = ~small
-            live, work, limit = live[keep], work[keep], limit[keep]
-            flat, every = flat[keep], every[:len(live)]
+            if copied:
+                out[stopped] = work[small]
+            keep = slice(left) if small[left:].all() else ~small
+            copied = copied or isinstance(keep, np.ndarray)
+            live, work, limit, flat = (live[keep], work[keep], limit[keep],
+                                       flat[keep])
+            every = every[:left]
         i, j = np.divmod(flat, cols - r)
         tail = work[:, r:rows]
         tail[every, i], tail[:, 0] = tail[:, 0], tail[every, i]
@@ -382,14 +398,29 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
         pivot = work[:, r, r:]
         factor = work[:, r + 1:rows, r] / pivot[:, :1]
         work[:, r + 1:rows, r:] -= factor[:, :, None] * pivot[:, None, :]
-    if work is not out:
+        r += 1
+    if len(live) == 1:
+        m, stop = work[0], float(limit[0])
+        for r in range(r, min(rows, cols)):
+            block = np.abs(m[r:rows, r:])
+            i, j = divmod(int(block.argmax()), cols - r)
+            if block[i, j] <= stop:
+                ranks[int(live[0])] = r
+                break
+            if i:
+                m[r + i], m[r] = m[r], m[r + i].copy()
+            if j:
+                m[:, r + j], m[:, r] = m[:, r], m[:, r + j].copy()
+            pivot = m[r, r:]
+            m[r + 1:rows, r:] -= (m[r + 1:rows, r, None] / pivot[0]) * pivot
+    if copied:
         out[live] = work
     return out[:, :rows], ranks, out[:, rows].real.astype(np.intp)
 
 
 def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Numerical rank via Gaussian elimination with full pivoting, the
-    lockstep elimination run on a stack of one.
+    full-pivot elimination run on a stack of one.
 
     Pivots at or below ``tol.effective`` of A scaled to unit entries
     count as zero, so ``2**k A`` has the rank of A.
@@ -398,13 +429,12 @@ def rank(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
 
 
 def nullspace(a: CMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> list[np.ndarray]:
-    """Orthonormal-ish basis of the numerical null space.
+    """Basis of the numerical null space, one unit vector per free column.
 
-    The lockstep full-pivot elimination on a stack of one, with the
-    column permutation it returns; one normalized vector per free
-    column; ``2**k A`` gets the vectors of A, bit for bit. The basis
-    spans the null space but is not orthogonalized (callers needing
-    projections should orthonormalize).
+    Back substitution on the full-pivot elimination of a stack of one,
+    through the column permutation it returns; ``2**k A`` gets the
+    vectors of A, bit for bit. The basis spans the null space but is not
+    orthogonalized (callers needing projections should orthonormalize).
     """
     reduced, ranks, colperms = _full_pivot_eliminate(a.data[None], tol)
     m, r, colperm = reduced[0], ranks[0], colperms[0]
@@ -470,8 +500,8 @@ def schur(a: CMatrix) -> SchurForm:
 def matrix_power(a: CMatrix, k: int) -> CMatrix:
     """A**k for integer k >= 0 by repeated squaring."""
     a.require_square("matrix_power")
-    if k < 0:
-        raise ValueError("matrix_power requires k >= 0")
+    if isinstance(k, (bool, np.bool_)) or k < 0:
+        raise ValueError(f"matrix_power requires an integer k >= 0, got {k!r}")
     result = np.eye(a.rows, dtype=complex)
     base = np.array(a.data)
     e = k

@@ -118,9 +118,10 @@ class PathSpec:
     sampled at steps+1 points. Negative turns reverse orientation.
 
     Raises ``ValueError`` when center, radius, |Re center| + radius or
-    |Im center| + radius is not finite, for a radius that is not
-    positive, ``steps`` or ``turns`` that is not an integer (Python or
-    numpy), zero turns, or fewer than 16 steps."""
+    |Im center| + radius is not finite, for a center or radius that is a
+    bool, a radius that is not positive, ``steps`` or ``turns`` that is
+    not an integer (Python or numpy, not a bool), zero turns, or fewer
+    than 16 steps."""
 
     center: complex
     radius: float
@@ -128,6 +129,9 @@ class PathSpec:
     turns: int = 1
 
     def __post_init__(self):
+        for name in ("center", "radius"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         # Python floats overflow to inf with no warning; + 0 refuses a str.
         c, r = complex(self.center + 0j), float(self.radius + 0.0)
         if not all(math.isfinite(abs(x) + r) for x in (c.real, c.imag)):
@@ -136,7 +140,8 @@ class PathSpec:
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
         for name in ("steps", "turns"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.turns == 0:
             raise ValueError("turns must be nonzero")

@@ -50,7 +50,7 @@ def kernel_vector(s: Spin, axis: int) -> KernelSolution:
     positive by construction. Raises ``NonFiniteError`` for 2s > 2047,
     where 2**s overflows, before any matrix is built.
     """
-    if axis not in (1, 2):
+    if isinstance(axis, (bool, np.bool_)) or axis not in (1, 2):
         raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
     if s.value >= np.finfo(float).maxexp:
         raise NonFiniteError(f"kernel vector of spin {s} is not representable:"

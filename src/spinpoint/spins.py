@@ -123,7 +123,7 @@ def nonnormal_hamiltonian(s: Spin, axis: int, z: complex) -> CMatrix:
 
     z = 1j gives the nilpotent family with a single Jordan block.
     """
-    if axis not in (1, 2):
+    if isinstance(axis, (bool, np.bool_)) or axis not in (1, 2):
         raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
     _, _, s1, s2, s3 = _operators(s)
     return CMatrix(s3 + complex(z) * (s1 if axis == 1 else s2))

@@ -541,6 +541,10 @@ class TestPhiFamily:
                 resid = np.linalg.norm(point.matrix.data @ vec - lam * vec)
                 assert resid < 1e-13
 
+    def test_bool_phi_is_refused(self):
+        with pytest.raises(ValueError, match="phi"):
+            sp.phi_family(True)
+
     def test_out_of_range_flag(self):
         assert sp.phi_family(0.7).in_range
         assert not sp.phi_family(2.0).in_range

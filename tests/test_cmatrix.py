@@ -70,6 +70,33 @@ class TestConstruction:
         assert Tolerance().effective(CMatrix.identity(2)) == pytest.approx(
             1e-12 + 1e-12 * 2 * np.sqrt(2))
 
+    def test_tolerance_refuses_a_bool(self):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="tolerance value"):
+                Tolerance(value=flag)
+
+    @pytest.mark.parametrize("c", [1e160, 1e300, 1e-200])
+    def test_effective_threshold_far_from_unit_scale(self, c):
+        # The plain norm overflows from about 1e154; the threshold is then
+        # that of the frobenius norm, which rescales by a power of two.
+        for a in (np.eye(2), np.ones((3, 2))):
+            m = CMatrix(c * a)
+            want = 1e-12 + 1e-12 * max(a.shape) * sp.frobenius_norm(m)
+            assert np.isfinite(want)
+            assert sp.DEFAULT_TOLERANCE.effective(m) == want
+
+    def test_effective_threshold_of_a_stack_far_from_unit_scale(self, rng):
+        tol = Tolerance(value=1e-6)
+        scales = np.array([1e300, 1.0, 1e160, 1e-200, 2.0 ** 600])
+        stack = np.array([c * random_complex(rng, 3, 4) for c in scales])
+        got = tol.effective(stack)
+        assert np.isfinite(got).all()
+        for threshold, b in zip(got, stack):
+            assert threshold == tol.effective(b) == \
+                1e-6 + 1e-6 * 4 * sp.frobenius_norm(CMatrix(b))
+        # An in-range member keeps the bits of the plain norm.
+        assert got[1] == 1e-6 + 1e-6 * 4 * np.linalg.norm(stack[1])
+
     def test_tolerance_has_one_keyword_only_value(self):
         # The spellings of the former absolute/relative pair fail loudly
         # instead of taking a new meaning.
@@ -398,6 +425,21 @@ class TestFullPivotStack:
         stack[-1] *= 1e-9
         ranks = self.assert_matches_reference(stack)
         assert ranks == made
+        # Each matrix alone takes the one-matrix path from the first step.
+        for a, r in zip(stack, made):
+            assert self.assert_matches_reference(a[None]) == [r]
+
+    def test_tail_stops_after_a_copy_are_written_back(self, rng):
+        # Matrix 0 stops first and is not the tail, so the working stack
+        # is copied; matrices 3 and then 2 stop later at the tail of that
+        # copy, and must reach the output before matrix 1 goes on alone.
+        u, v = random_unitary(rng, 5).data, random_unitary(rng, 5).data
+        a = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-9]) @ v
+        thresholds = [1e-1, 1e-12, 1e-8, 1e-3]
+        stack = np.array([a] * len(thresholds))
+        ranks = self.assert_matches_reference(stack, Tolerance(value=0.0),
+                                              thresholds)
+        assert ranks == [1, 5, 4, 2]
 
     def test_thresholds_stop_matrices_at_different_steps(self, rng):
         # One matrix with singular values 1 .. 1e-9, once per threshold: each
@@ -443,6 +485,9 @@ class TestFullPivotStack:
             np.zeros((0, 3, 3), dtype=complex), sp.DEFAULT_TOLERANCE)
         assert reduced.shape == (0, 3, 3) and colperms.shape == (0, 3)
         assert ranks == []
+        report = sp.nilpotency_report(CMatrix.zeros(3))
+        assert report.is_nilpotent
+        assert report.index == 1 and report.rank_chain == (0,)
 
 
 class TestCharPoly:
@@ -576,6 +621,10 @@ class TestPower:
     def test_rejects_negative_exponent(self, rng):
         with pytest.raises(ValueError, match="k >= 0"):
             sp.matrix_power(random_cmatrix(rng, 3), -1)
+
+    def test_rejects_a_bool_exponent(self, rng):
+        with pytest.raises(ValueError, match="integer k"):
+            sp.matrix_power(random_cmatrix(rng, 3), True)
 
 
 class TestExp:

@@ -1026,6 +1026,19 @@ class TestTraceSheets:
         assert nodes.tolist() == [complex(path.point(j / steps))
                                   for j in range(1, steps + 1)]
 
+    @pytest.mark.parametrize("field,message", [
+        ("turns", "turns must be an integer"),
+        ("steps", "steps must be an integer"),
+        ("radius", "radius must be a number"),
+        ("center", "center must be a number")])
+    def test_path_refuses_a_bool(self, field, message):
+        # A bool is an Integral and adds as a number: turns=True would
+        # trace one turn, steps=True would fail only its lower bound.
+        fields = dict(center=0.0, radius=1.0, steps=64, turns=1)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=message):
+                PathSpec(**{**fields, field: flag})
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             PathSpec(center=0.0, radius=0.0, steps=64)

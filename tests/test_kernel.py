@@ -101,6 +101,12 @@ class TestHierarchyInvariants:
         assert phase_aligned_distance(v, vh[-1].conj()) <= 1e-12
 
 
+def test_bool_axis_is_refused():
+    for check in (kernel_vector, verify_uniqueness):
+        with pytest.raises(ValueError, match="axis"):
+            check(Spin(2), True)
+
+
 class TestRepresentableRange:
     # ||raw_vector||_2 = 2**s: np.linalg.norm of the raw vector overflows
     # from 2s = 1025, 2**s itself from 2s = 2048, and a component from

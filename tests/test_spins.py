@@ -212,3 +212,7 @@ class TestNonnormalFamily:
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
             sp.nonnormal_hamiltonian(Spin(1), 3, 1j)
+
+    def test_bool_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            sp.nonnormal_hamiltonian(Spin(1), True, 1j)
