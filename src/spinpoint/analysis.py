@@ -286,6 +286,8 @@ def phi_family(phi: float) -> PhiFamilyPoint:
     """
     if isinstance(phi, (bool, np.bool_)):
         raise ValueError(f"phi must be a number, not {phi!r}")
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     phase = np.exp(1j * phi)
     matrix = CMatrix([[1.0, phase], [phase, -1.0]])
     lam = np.sqrt(1.0 + np.exp(2j * phi))

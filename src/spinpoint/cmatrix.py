@@ -23,7 +23,9 @@ bit:
   ``nilpotency_report`` and the EP locator's multiplicities pass all
   their matrices in one call (stops at the stack's tail leave a view);
   the last live matrix, and the stack of one of ``rank`` and
-  ``nullspace``, is eliminated alone on plain 2-D indexing.
+  ``nullspace``, is eliminated alone on plain 2-D indexing, with the
+  stack's broadcast shapes, so it matches the stack in every entry
+  (checked on numpy 2.4.6).
 - The partially pivoted LU behind ``det`` drops a matrix from the
   working stack at its first exactly zero pivot column (det 0). Each
   determinant is the product of its pivots formed on scalars, in
@@ -33,12 +35,13 @@ bit:
 ``det`` and ``char_poly`` pass a stack of one; the EP locator passes the
 matrices at all its discriminant sample nodes in one call. The scalar
 Schur chase takes stacks too: ``eigenvalues`` and ``schur`` pass one
-matrix, the EP locator all its roots, then each Newton round's iterates.
+matrix, the EP locator all its roots at once, then each Newton iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -412,7 +415,8 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
             if j:
                 m[:, r + j], m[:, r] = m[:, r], m[:, r + j].copy()
             pivot = m[r, r:]
-            m[r + 1:rows, r:] -= (m[r + 1:rows, r, None] / pivot[0]) * pivot
+            m[r + 1:rows, r:] -= (m[r + 1:rows, r] / pivot[0])[:, None] \
+                * pivot[None]
     if copied:
         out[live] = work
     return out[:, :rows], ranks, out[:, rows].real.astype(np.intp)
@@ -500,7 +504,7 @@ def schur(a: CMatrix) -> SchurForm:
 def matrix_power(a: CMatrix, k: int) -> CMatrix:
     """A**k for integer k >= 0 by repeated squaring."""
     a.require_square("matrix_power")
-    if isinstance(k, (bool, np.bool_)) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 0:
         raise ValueError(f"matrix_power requires an integer k >= 0, got {k!r}")
     result = np.eye(a.rows, dtype=complex)
     base = np.array(a.data)

@@ -261,20 +261,6 @@ def _min_gap(values: np.ndarray) -> np.ndarray:
     return _pair_distances(values).min(axis=(-2, -1))
 
 
-def _linked(points: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Index sets of the components of the graph that joins points
-    closer than ``radius``."""
-    count = len(points)
-    reach = (_pair_distances(points) < radius) | np.eye(count, dtype=bool)
-    while True:
-        grown = (reach.astype(int) @ reach) > 0
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(reach[i]) for i in range(count) if first[i] == i]
-
-
 def _spectral_disc(eigs: np.ndarray, pairs: tuple) -> complex:
     """D(z) from the eigenvalues of H(z); ``pairs`` is
     ``np.triu_indices(n, 1)``.
@@ -290,46 +276,32 @@ def _spectral_disc(eigs: np.ndarray, pairs: tuple) -> complex:
     return sign * complex(np.prod((eigs[i] - eigs[j]) ** 2))
 
 
-def _polish(pencil: PencilFamily, slope: np.ndarray, roots: np.ndarray,
-            spectra: np.ndarray) -> list[tuple[complex, np.ndarray, bool]]:
-    """Newton on D from each simple root of ``roots``, whose eigenvalues
-    are the rows of ``spectra``.
-
-    D comes from the spectrum, D' from the recovered coefficients
-    (``slope``, high to low). A round takes every live root's step on
-    Python scalars, then solves H at all the roots that moved in one
-    stacked call. Returns, per root, its last point, that point's
-    eigenvalues and True once the next step is below the tolerance; a
-    step that fails to halve the previous one ends the root's iteration
-    with False.
+def _polish(pencil: PencilFamily, slope: np.ndarray, pairs: tuple,
+            z: complex, eigs: np.ndarray) -> tuple[complex, np.ndarray, bool]:
+    """Newton on D from the simple root z, whose eigenvalues are ``eigs``:
+    D from the spectrum, D' from ``slope`` (the recovered coefficients,
+    high to low), each iterate solved as a stack of one. Returns the
+    last point, its eigenvalues and True once the next step is below the
+    tolerance; a step that fails to halve the previous one ends with
+    False.
     """
-    pairs = np.triu_indices(spectra.shape[-1], 1)
-    zs, eigs = roots.tolist(), list(spectra)
-    previous, converged = [np.inf] * len(zs), [False] * len(zs)
-    live = range(len(zs))
-    while live:
-        moving = []
-        for r in live:
-            step = (_spectral_disc(eigs[r], pairs)
-                    / complex(np.polyval(slope, zs[r])))
-            converged[r] = abs(step) <= _NEWTON_STEP_TOL * (1.0 + abs(zs[r]))
-            if not converged[r] and abs(step) <= 0.5 * previous[r]:
-                zs[r] -= step
-                previous[r] = abs(step)
-                moving.append(r)
-        if moving:
-            solved = _spectra(pencil._stack([zs[r] for r in moving]))
-            for r, row in zip(moving, solved):
-                eigs[r] = row
-        live = moving
-    return list(zip(zs, eigs, converged))
+    previous = np.inf
+    while True:
+        step = _spectral_disc(eigs, pairs) / complex(np.polyval(slope, z))
+        if abs(step) <= _NEWTON_STEP_TOL * (1.0 + abs(z)):
+            return z, eigs, True
+        if not abs(step) <= 0.5 * previous:
+            return z, eigs, False
+        z -= step
+        eigs = _spectra(pencil._stack([z]))[0]
+        previous = abs(step)
 
 
 def _locate(pencil: PencilFamily, coeffs: np.ndarray,
             roots: np.ndarray) -> list[tuple[complex, np.ndarray, bool]]:
     """One (z, eigenvalues of H(z), newton_converged) per EP.
 
-    All roots start as one linked group. A group is one EP when H at its
+    All roots start as one group. A group is one EP when H at its
     centroid has an eigenvalue gap no larger than H has at any member,
     and no member is more than twice as far from the centroid as
     another: the copies of a multiple root scatter on a circle around
@@ -337,21 +309,31 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
     degeneracy. The centroid of distinct EPs falls between them, where
     the eigenvalues separate, or, when it falls on a further degeneracy,
     lies much closer to that degeneracy's own roots than to the rest.
-    Any other group is relinked at half the radius until it splits. A
-    group reports its centroid; a single root is polished. The spectra
-    at all roots come from one stacked solve on the scalar chase, and
-    the single roots are polished together once the groups are split.
+    Any other group splits into the components of the graph joining its
+    roots closer than the radius, halved until there are two or more:
+    the classes below the radius of the bottleneck distance, the least
+    longest step of a path (Gower and Ross, Appl. Statist. 18 (1969)
+    54), whose one table per call, by Floyd's loop over (min, max),
+    gives every split. A group reports its centroid; a single root is
+    polished. All the roots' spectra come from one stacked solve.
     """
     spectra = _spectra(pencil._stack(roots))
     gaps = _min_gap(spectra)
-    found, single = [], []
+    slope = np.polyder(coeffs[::-1])
+    pairs = np.triu_indices(pencil.size, 1)
+    far = _pair_distances(roots)
+    np.fill_diagonal(far, 0.0)
+    for k in range(len(roots)):
+        far = np.minimum(far, np.maximum(far[:, k, None], far[k]))
+    found = []
     pending = [(np.arange(len(roots)),
                 float(np.ptp(roots.real) + np.ptp(roots.imag)))]
     while pending:
         members, radius = pending.pop()
         if len(members) == 1:
-            single.append(members[0])
-            found.append(None)
+            i = members[0]
+            found.append(_polish(pencil, slope, pairs, complex(roots[i]),
+                                 spectra[i]))
             continue
         centroid = complex(roots[members].mean())
         offsets = np.abs(roots[members] - centroid)
@@ -360,14 +342,14 @@ def _locate(pencil: PencilFamily, coeffs: np.ndarray,
             if _min_gap(eigs) <= gaps[members].min():
                 found.append((centroid, eigs, False))
                 continue
-        parts = [members]
-        while len(parts) == 1:
+        near = far[np.ix_(members, members)]
+        radius /= 2.0
+        while (near < radius).all():
             radius /= 2.0
-            parts = _linked(roots[members], radius)
-        pending += [(members[part], radius) for part in parts]
-    polished = iter(_polish(pencil, np.polyder(coeffs[::-1]),
-                            roots[single], spectra[single]))
-    return [next(polished) if f is None else f for f in found]
+        linked = (near < radius) | np.eye(len(members), dtype=bool)
+        pending += [(members[row], radius)
+                    for i, row in enumerate(linked) if row.argmax() == i]
+    return found
 
 
 def find_exceptional_points(pencil: PencilFamily,

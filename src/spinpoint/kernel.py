@@ -18,7 +18,7 @@ import numpy as np
 
 from .cmatrix import DEFAULT_TOLERANCE, Tolerance, _frobenius, rank
 from .errors import NonFiniteError
-from .spins import Spin, nonnormal_hamiltonian
+from .spins import Spin, _require_axis, nonnormal_hamiltonian
 
 __all__ = ["KernelSolution", "kernel_vector", "verify_uniqueness"]
 
@@ -50,8 +50,7 @@ def kernel_vector(s: Spin, axis: int) -> KernelSolution:
     positive by construction. Raises ``NonFiniteError`` for 2s > 2047,
     where 2**s overflows, before any matrix is built.
     """
-    if isinstance(axis, (bool, np.bool_)) or axis not in (1, 2):
-        raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
+    _require_axis(axis)
     if s.value >= np.finfo(float).maxexp:
         raise NonFiniteError(f"kernel vector of spin {s} is not representable:"
                              f" its raw norm 2**s overflows (2s <= 2047)")

@@ -118,12 +118,18 @@ def spin_matrices(s: Spin) -> SpinMatrices:
     return SpinMatrices(s, *map(CMatrix, _operators(s)))
 
 
+def _require_axis(axis) -> None:
+    """Refuse an axis other than the integer 1 or 2, a bool included."""
+    if isinstance(axis, bool) or not isinstance(axis, Integral) \
+            or axis not in (1, 2):
+        raise ValueError(f"invalid axis {axis!r}: must be the integer 1 or 2")
+
+
 def nonnormal_hamiltonian(s: Spin, axis: int, z: complex) -> CMatrix:
     """s3 + z * s_axis for axis 1 or 2.
 
     z = 1j gives the nilpotent family with a single Jordan block.
     """
-    if isinstance(axis, (bool, np.bool_)) or axis not in (1, 2):
-        raise ValueError(f"invalid axis {axis!r}: must be 1 or 2")
+    _require_axis(axis)
     _, _, s1, s2, s3 = _operators(s)
     return CMatrix(s3 + complex(z) * (s1 if axis == 1 else s2))

@@ -219,25 +219,15 @@ def hessenberg_reference(a, want_q=True):
     return h, q
 
 
-def find_exceptional_points_reference(pencil):
-    """Reference: ``find_exceptional_points`` solving one root at a time,
-    the stage the stacked locator must reproduce field for field. The
-    spectrum at each root, each Newton step's and each candidate's
-    certificate come one at a time from ``eigenvalues`` and scalar
-    arithmetic."""
-    from spinpoint import (DEFAULT_TOLERANCE, EPCandidate, eigenvalues,
-                           frobenius_norm)
+def locate_reference(pencil, coeffs, roots):
+    """Reference for ``exceptional._locate``: the spectrum at each root
+    and each Newton step from ``eigenvalues``, one at a time, and each
+    split from reachability closed by repeated boolean matrix products at
+    every halved radius, where ``_locate`` reads one bottleneck table."""
+    from spinpoint import eigenvalues
     from spinpoint import exceptional as ex
-    from spinpoint.cmatrix import _full_pivot_eliminate
 
-    n = pencil.size
-    if n < 2:
-        return []
-    coeffs, disc_scale = ex._discriminant(pencil)
-    if len(coeffs) < 2:
-        return []
-    roots = ex._companion_roots(coeffs)
-    pairs = np.triu_indices(n, 1)
+    pairs = np.triu_indices(pencil.size, 1)
 
     def polish(slope, z, eigs):
         previous = np.inf
@@ -251,6 +241,19 @@ def find_exceptional_points_reference(pencil):
             z -= step
             eigs = np.asarray(eigenvalues(pencil.at(z)))
             previous = abs(step)
+
+    def linked(points, radius):
+        count = len(points)
+        reach = (ex._pair_distances(points) < radius) \
+            | np.eye(count, dtype=bool)
+        while True:
+            grown = (reach.astype(int) @ reach) > 0
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        first = reach.argmax(axis=1)
+        return [np.flatnonzero(reach[i]) for i in range(count)
+                if first[i] == i]
 
     spectra = np.array([eigenvalues(pencil.at(z)) for z in roots])
     gaps = ex._min_gap(spectra)
@@ -274,8 +277,29 @@ def find_exceptional_points_reference(pencil):
         parts = [members]
         while len(parts) == 1:
             radius /= 2.0
-            parts = ex._linked(roots[members], radius)
+            parts = linked(roots[members], radius)
         pending += [(members[part], radius) for part in parts]
+    return found
+
+
+def find_exceptional_points_reference(pencil):
+    """Reference: ``find_exceptional_points`` solving one root at a time,
+    the stage the stacked locator must reproduce field for field. The
+    spectrum at each root, each Newton step's and each candidate's
+    certificate come one at a time from ``eigenvalues`` and scalar
+    arithmetic, and the groups from ``locate_reference``."""
+    from spinpoint import DEFAULT_TOLERANCE, EPCandidate, frobenius_norm
+    from spinpoint import exceptional as ex
+    from spinpoint.cmatrix import _full_pivot_eliminate
+
+    n = pencil.size
+    if n < 2:
+        return []
+    coeffs, disc_scale = ex._discriminant(pencil)
+    if len(coeffs) < 2:
+        return []
+    roots = ex._companion_roots(coeffs)
+    found = locate_reference(pencil, coeffs, roots)
 
     norm_a = frobenius_norm(pencil.a)
     norm_b = frobenius_norm(pencil.b)

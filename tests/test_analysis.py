@@ -545,6 +545,11 @@ class TestPhiFamily:
         with pytest.raises(ValueError, match="phi"):
             sp.phi_family(True)
 
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_non_finite_phi_is_refused(self, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            sp.phi_family(phi)
+
     def test_out_of_range_flag(self):
         assert sp.phi_family(0.7).in_range
         assert not sp.phi_family(2.0).in_range

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spinpoint as sp
 from spinpoint import CMatrix, Tolerance
@@ -468,6 +468,9 @@ class TestFullPivotStack:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
            st.integers(0, 2 ** 31 - 1))
+    # The last step of a tall matrix alone has one column left; the
+    # residue rows below the rank must still match the reference.
+    @example(rows=2, cols=1, count=1, seed=2)
     def test_low_rank_products(self, rows, cols, count, seed):
         rng = np.random.default_rng(seed)
         made = rng.integers(0, min(rows, cols) + 1, size=count)
@@ -625,6 +628,12 @@ class TestPower:
     def test_rejects_a_bool_exponent(self, rng):
         with pytest.raises(ValueError, match="integer k"):
             sp.matrix_power(random_cmatrix(rng, 3), True)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0)],
+                             ids=["2.5", "2.0", "float64"])
+    def test_rejects_a_non_integer_exponent(self, rng, k):
+        with pytest.raises(ValueError, match="integer k"):
+            sp.matrix_power(random_cmatrix(rng, 3), k)
 
 
 class TestExp:

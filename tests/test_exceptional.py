@@ -14,8 +14,9 @@ from spinpoint.exceptional import _spectral_disc, _step_test
 
 from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
                       det_lu_reference, eigenvalues_stack_reference,
-                      find_exceptional_points_reference, paired_spectra,
-                      random_cmatrix, random_complex, random_unitary)
+                      find_exceptional_points_reference, locate_reference,
+                      paired_spectra, random_cmatrix, random_complex,
+                      random_unitary)
 
 
 def hermitian_example():
@@ -476,10 +477,11 @@ def fields_of(result):
 
 
 class TestStackedLocator:
-    """The locator solves its spectra as stacks: all roots in one call,
-    every Newton round in one call, every candidate certified in one
-    array pass. Each candidate equals, field for field, that of the
-    one-root-at-a-time stage (``find_exceptional_points_reference``)."""
+    """The locator solves the spectra at all roots in one stacked call,
+    then each Newton step of each simple root as a stack of one, and
+    certifies every candidate in one array pass. Each candidate equals,
+    field for field, that of the one-root-at-a-time stage
+    (``find_exceptional_points_reference``)."""
 
     @pytest.mark.parametrize("name, a, b", stacked_locator_cases(),
                              ids=[c[0] for c in stacked_locator_cases()])
@@ -496,23 +498,70 @@ class TestStackedLocator:
 
     def test_one_solve_for_all_roots_and_one_per_newton_round(
             self, rng, monkeypatch):
-        sizes = []
-        solve = exceptional._spectra
+        sizes, evaluations = [], []
+        solve, disc = exceptional._spectra, exceptional._spectral_disc
 
         def counted(stack):
             sizes.append(len(stack))
             return solve(stack)
 
+        def evaluated(eigs, pairs):
+            evaluations.append(len(sizes))
+            return disc(eigs, pairs)
+
         monkeypatch.setattr(exceptional, "_spectra", counted)
+        monkeypatch.setattr(exceptional, "_spectral_disc", evaluated)
         pencil = PencilFamily(a=CMatrix(random_complex(rng, 4)),
                               b=CMatrix(random_complex(rng, 4)))
         candidates = find_exceptional_points(pencil)
         assert len(candidates) == 12
         assert all(c.newton_converged for c in candidates)
-        # The twelve roots at once, then per round the roots that moved.
+        # The twelve roots at once, then one row per Newton step: every
+        # evaluation of D but each root's last takes a step.
         assert sizes[0] == 12
-        assert len(sizes) > 1
-        assert sizes[1:] == sorted(sizes[1:], reverse=True)
+        assert sizes[1:] == [1] * (len(evaluations) - 12)
+        assert evaluations[0] == 1
+
+
+def crafted_roots():
+    """Root sets for ``_locate`` on H(z) = [[0, 1], [z - 3/10, 0]], whose
+    one EP is z = 3/10, each with the number of results it gives."""
+    ring = 1e-3 * np.exp(2j * np.pi * np.arange(6) / 6)
+    return {
+        # Columns 3 apart, rows 5 apart: the radius halves from 24 to 3,
+        # where the columns' distance 3 must not link the rows.
+        "lattice": ((3.0 * np.arange(4)[:, None]
+                     + 5j * np.arange(4)).ravel(), 16),
+        # The centroid of three copies of 0.15 rounds away from the EP, to
+        # a larger gap, so the copies halve down to radius 0 and split
+        # into singletons.
+        "duplicates": (np.array([0.15, 0.15, 0.15, 2.5], dtype=complex), 4),
+        # About the EP, the scatter of a multiple root, reported at its
+        # centroid; away from it, six simple roots.
+        "ring-at-ep": (0.3 + ring, 1),
+        "ring-off-ep": (1.0 + ring, 6),
+        "single": (np.array([0.5 + 0.25j]), 1),
+    }
+
+
+class TestLocateSplits:
+    """``_locate`` reads every split off one bottleneck table; the
+    reference relinks each group at every halved radius."""
+
+    @pytest.mark.parametrize("name", list(crafted_roots()))
+    def test_matches_reference(self, name):
+        roots, count = crafted_roots()[name]
+        pencil = PencilFamily(a=CMatrix([[0.0, 1.0], [-0.3, 0.0]]),
+                              b=CMatrix([[0.0, 0.0], [1.0, 0.0]]))
+        coeffs = exceptional._discriminant(pencil)[0]
+
+        def fields(found):
+            return [(repr(z), repr(np.asarray(eigs).tolist()),
+                     repr(converged)) for z, eigs, converged in found]
+
+        got = fields(exceptional._locate(pencil, coeffs, roots))
+        assert got == fields(locate_reference(pencil, coeffs, roots))
+        assert len(got) == count
 
 
 def located(a, b):

@@ -107,6 +107,16 @@ def test_bool_axis_is_refused():
             check(Spin(2), True)
 
 
+@pytest.mark.parametrize("axis", [1.0, np.float64(2.0)],
+                         ids=["1.0", "float64"])
+def test_non_integer_axis_is_refused(axis):
+    # An integral float is refused too: KernelSolution.axis stores the
+    # integer it was given.
+    for check in (kernel_vector, verify_uniqueness):
+        with pytest.raises(ValueError, match="axis"):
+            check(Spin(2), axis)
+
+
 class TestRepresentableRange:
     # ||raw_vector||_2 = 2**s: np.linalg.norm of the raw vector overflows
     # from 2s = 1025, 2**s itself from 2s = 2048, and a component from

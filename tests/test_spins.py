@@ -216,3 +216,9 @@ class TestNonnormalFamily:
     def test_bool_axis(self):
         with pytest.raises(ValueError, match="axis"):
             sp.nonnormal_hamiltonian(Spin(1), True, 1j)
+
+    @pytest.mark.parametrize("axis", [1.0, np.float64(2.0), 1.5],
+                             ids=["1.0", "float64", "1.5"])
+    def test_non_integer_axis(self, axis):
+        with pytest.raises(ValueError, match="axis"):
+            sp.nonnormal_hamiltonian(Spin(1), axis, 1j)
