@@ -21,14 +21,13 @@ them in lockstep, so the interpreter overhead of a rotation is paid once
 per stack, not once per matrix. It chases the stack transposed to
 ``(n, n, N)``, matrix index last, so each rotation updates contiguous
 blocks in place, with ``np.where`` masks only where the matrices differ.
-Both loops share the deflation test and the Hessenberg reduction, which
-skips a stack that is already upper Hessenberg.
+Both share the Hessenberg reduction, which skips a stack that is
+already upper Hessenberg, and the deflation test, its floors taken by
+one ``_norms`` call on the reduced stack.
 
-Both loops first scale each matrix by ``_unit_scale``, as every rank and
-normality verdict does, and scale the result back. That is exact: it
-changes no result that stays clear of overflow and underflow, and
-squared norms neither overflow nor underflow for entries anywhere in the
-floating-point range.
+Both first scale each matrix by ``_unit_scale``, as every verdict is
+taken, so no squared norm leaves the float range, and scale the result
+back by ``_ldexp``: exact, but inf with no warning past that range.
 """
 
 from __future__ import annotations
@@ -60,21 +59,21 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _ldexp(x: np.ndarray, e) -> np.ndarray:
-    """``x * 2**e`` for complex ``x``, exact unless it over- or underflows."""
-    out = np.empty(np.shape(x), dtype=complex)
-    out.real = np.ldexp(x.real, e)
-    out.imag = np.ldexp(x.imag, e)
-    return out
+    """``x * 2**e`` for complex ``x`` (``e`` of extent 1 on its last axis),
+    exact unless it underflows, inf with no warning past the float range."""
+    # The float view interleaves each entry's real and imaginary parts.
+    parts = np.ascontiguousarray(x, dtype=complex).view(float)
+    with np.errstate(over="ignore"):
+        return np.ldexp(parts, e).view(complex)
 
 
 def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(e, 2**-e a)`` per matrix of ``a`` (shape ``(..., rows, cols)``),
-    e putting the largest ``|re|`` or ``|im|`` entry of ``2**-e a`` in
-    [0.5, 1); 0 for a zero matrix. Exact unless an entry underflows."""
-    # The float view interleaves each entry's real and imaginary parts.
-    parts = np.ascontiguousarray(a, dtype=complex).view(float)
-    e = np.frexp(abs(parts).max(axis=(-2, -1)))[1]
-    return e, np.ldexp(parts, -e[..., None, None]).view(complex)
+    """``(e, _ldexp(a, -e))`` per matrix of ``a`` (shape ``(..., rows,
+    cols)``), e putting the largest ``|re|`` or ``|im|`` entry of
+    ``2**-e a`` in [0.5, 1); 0 for a zero matrix."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    e = np.frexp(abs(a.view(float)).max(axis=(-2, -1)))[1]
+    return e, _ldexp(a, -e[..., None, None])
 
 
 def hessenberg(a: np.ndarray, want_q: bool = True
@@ -160,13 +159,14 @@ def _schur_stack(a: np.ndarray, want_q: bool
     """``schur_decompose`` of each matrix of an ``(N, n, n)`` stack, as
     stacks of T and Q. Each matrix is chased alone, in stack order, so it
     gets its own result, and the first to exceed its budget raises."""
-    n = a.shape[-1]
+    count, n = a.shape[0], a.shape[-1]
     e, scaled = _unit_scale(a)
     h, q = hessenberg(scaled, want_q)
+    floors = (_EPS * _norms(h.reshape(count, n * n))[:, 0]).tolist()
     rows = h.tolist()
-    q_rows = [None] * len(rows) if q is None else q.tolist()
-    for m, t, u in zip(h, rows, q_rows):
-        _chase(t, u, _EPS * float(np.linalg.norm(m)))
+    q_rows = [None] * count if q is None else q.tolist()
+    for t, u, floor in zip(rows, q_rows, floors):
+        _chase(t, u, floor)
         # Enforce the triangular structure the iteration produced.
         for i in range(1, n):
             t[i][:i] = [0j] * i

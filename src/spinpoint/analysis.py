@@ -45,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schur import _unit_scale
+from ._schur import _unit_scale, schur_decompose
 from .cmatrix import (CMatrix, DEFAULT_TOLERANCE, Tolerance, _frobenius,
-                      _full_pivot_eliminate, eigenvalues, frobenius_norm,
-                      schur)
+                      _full_pivot_eliminate, eigenvalues, frobenius_norm)
 from .errors import ConvergenceError, DimensionError
 
 __all__ = [
@@ -101,14 +100,16 @@ class NilpotencyReport:
     rank_chain: tuple[int, ...]
 
 
-def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool, bool]:
-    """The defect ||A A* - A* A||_F, whether it is within tolerance, and
-    whether ||A - A*||_F is.
+def _normality(a: CMatrix, tol: Tolerance
+               ) -> tuple[float, bool, bool, int, np.ndarray]:
+    """The defect ||A A* - A* A||_F, whether it is within tolerance,
+    whether ||A - A*||_F is, and the e and B of ``_unit_scale`` they are
+    taken from.
 
-    All three are taken from B = 2**-e A of ``_unit_scale`` against
-    ``tol.effective(B)``, as every verdict is, so neither verdict changes
-    when A is scaled by a power of two. The defect, quadratic in A, is
-    that of B scaled back by 2**(2 e), exactly unless it overflows to inf.
+    Both verdicts are taken on B = 2**-e A against ``tol.effective(B)``,
+    as every verdict is, so neither changes when A is scaled by a power
+    of two. The defect, quadratic in A, is that of B scaled back by
+    2**(2 e), exactly unless it overflows to inf.
     """
     e, b = _unit_scale(a.data)
     b_h = b.conj().T
@@ -117,7 +118,7 @@ def _normality(a: CMatrix, tol: Tolerance) -> tuple[float, bool, bool]:
     is_hermitian = _frobenius(b - b_h) <= threshold
     with np.errstate(over="ignore"):
         return (float(np.ldexp(defect, 2 * e)), defect <= threshold,
-                is_hermitian)
+                is_hermitian, e, b)
 
 
 def normality_report(a: CMatrix,
@@ -125,13 +126,15 @@ def normality_report(a: CMatrix,
     """Defect, Henrici departure, and normal/hermitian flags.
 
     The defect is always computed; an eigensolver failure only blanks
-    the Henrici field.
+    the Henrici field. Henrici is taken from the Schur factor of the B of
+    ``_normality`` and scaled back by 2**e, as the defect is.
     """
     a.require_square("normality_report")
-    defect, is_normal, is_hermitian = _normality(a, tol)
+    defect, is_normal, is_hermitian, e, b = _normality(a, tol)
     try:
-        t = schur(a).t.data
-        henrici = _frobenius(np.triu(t, 1))
+        t = schur_decompose(b)[0]
+        with np.errstate(over="ignore"):
+            henrici = float(np.ldexp(_frobenius(np.triu(t, 1)), e))
     except ConvergenceError:
         henrici = None
     return NormalityReport(

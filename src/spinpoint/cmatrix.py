@@ -26,11 +26,11 @@ bit:
   ``nullspace``, is eliminated alone on plain 2-D indexing, with the
   stack's broadcast shapes, so it matches the stack in every entry
   (checked on numpy 2.4.6).
-- The partially pivoted LU behind ``det`` drops a matrix from the
-  working stack at its first exactly zero pivot column (det 0). Each
-  determinant is the product of its pivots formed on scalars, in
-  elimination order.
-- The Faddeev-LeVerrier recursion behind ``char_poly``.
+- The partially pivoted LU behind ``det`` divides an exactly zero
+  pivot column by 1, so the matrix stays in the stack with multipliers
+  0, and its det is 0. Each other determinant is the product of its
+  pivots formed on scalars, in elimination order.
+- The Faddeev-LeVerrier recursion behind ``char_poly``, one product a step.
 
 ``det`` and ``char_poly`` pass a stack of one; the EP locator passes the
 matrices at all its discriminant sample nodes in one call. The scalar
@@ -40,6 +40,7 @@ matrix, the EP locator all its roots at once, then each Newton iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -69,12 +70,13 @@ def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm of an ndarray, free of the overflow and underflow of
     squaring its entries: only when its largest entry is outside the
     square-safe range are the entries scaled by an exact power of two,
-    and the norm scaled back."""
+    and the norm scaled back, inf with no warning past the float range."""
     big = np.abs(x).max()
     if _SQUARE_SAFE_MIN <= big <= _SQUARE_SAFE_MAX or big == 0.0:
         return float(np.linalg.norm(x))
     e, scaled = _unit_scale(x)
-    return float(np.ldexp(np.linalg.norm(scaled), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -96,16 +98,15 @@ class Tolerance:
         """``max(value, floor) + value * n * ||b||_F``, n the larger
         extent: a float for one matrix b, an array for an ``(N, rows,
         cols)`` stack, with one floor each or one for all. The norm is
-        that of ``_norms``, taken where it overflows on b scaled by the
-        power of two of ``_unit_scale``; inf only past the float range."""
+        that of ``_norms``, or ``_frobenius`` where that overflows: inf
+        only past the float range."""
         b = b.data if isinstance(b, CMatrix) else np.asarray(b)
         rows, cols = b.shape[-2:]
         with np.errstate(over="ignore"):
             norms = _norms(b.reshape(b.shape[:-2] + (rows * cols,)))[..., 0]
             if not np.isfinite(norms.sum()):
                 big = ~np.isfinite(norms)
-                e, scaled = _unit_scale(b[big].reshape(-1, 1, rows * cols))
-                norms[big] = np.ldexp(_norms(scaled)[:, 0, 0], e)
+                norms[big] = [_frobenius(m) for m in b[big]]
         limit = (np.maximum(self.value, floors)
                  + self.value * max(rows, cols) * norms)
         return limit if b.ndim > 2 else float(limit)
@@ -299,39 +300,34 @@ def _det_lu(a: np.ndarray) -> np.ndarray:
     A step takes the first entry of largest modulus in each matrix's
     pivot column, swaps its row into place and subtracts the broadcast
     product of the multipliers and the pivot row from the rows below, so
-    each matrix gets the arithmetic it would get alone. A matrix whose
-    pivot column is exactly zero has det 0 and leaves the working stack
-    before its pivot divides anything. The product of each matrix's
-    pivots, negated at each row swap, is formed on numpy scalars in
-    elimination order: a vectorised complex multiply can round it
-    differently in the last bit.
+    each matrix gets the arithmetic it would get alone. An exactly zero
+    pivot column divides as 1: its multipliers are 0, and its matrix
+    stays in place and gets det 0 at the end. The product of each other
+    matrix's pivots, negated at each row swap, is formed on numpy
+    scalars in elimination order: a vectorised complex multiply can
+    round it differently in the last bit.
     """
     count, m = a.shape[0], a.shape[-1]
     pivots = np.empty((count, m), dtype=complex)
     swapped = np.zeros((count, m), dtype=bool)
-    # live: the stack index of each working matrix; every: 0..len(live)-1.
-    live = every = np.arange(count)
+    singular = np.zeros(count, dtype=bool)
+    every = np.arange(count)
     work = np.array(a, dtype=complex)
     for k in range(m):
         column = np.abs(work[:, k:, k])
         p = column.argmax(axis=1)
         zero = column[every, p] == 0.0
-        if np.count_nonzero(zero):
-            keep = ~zero
-            live, work, p = live[keep], work[keep], p[keep]
-            every = every[:len(live)]
-            if not len(live):
-                break
+        singular |= zero
         p += k
-        swapped[live, k] = p != k
+        swapped[:, k] = p != k
         row = work[every, p, k:]
         work[every, p, k:] = work[:, k, k:]
         work[:, k, k:] = row
-        pivots[live, k] = row[:, 0]
-        factor = work[:, k + 1:, k] / row[:, :1]
+        pivots[:, k] = row[:, 0]
+        factor = work[:, k + 1:, k] / np.where(zero[:, None], 1.0, row[:, :1])
         work[:, k + 1:, k:] -= factor[:, :, None] * row[:, None, :]
     out = np.zeros(count, dtype=complex)
-    for i in live.tolist():
+    for i in np.flatnonzero(~singular).tolist():
         product = 1.0 + 0.0j
         for pivot, flip in zip(pivots[i], swapped[i].tolist()):
             if flip:
@@ -533,19 +529,12 @@ def matrix_exp(a: CMatrix) -> CMatrix:
     if norm > _EXP_TARGET_NORM:
         squarings = int(np.ceil(np.log2(norm / _EXP_TARGET_NORM)))
     scaled = a.data / (2.0 ** squarings)
-    result = np.eye(n, dtype=complex) / _factorial(_EXP_TAYLOR_DEGREE)
+    result = np.eye(n, dtype=complex) / math.factorial(_EXP_TAYLOR_DEGREE)
     for k in range(_EXP_TAYLOR_DEGREE - 1, -1, -1):
-        result = scaled @ result + np.eye(n, dtype=complex) / _factorial(k)
+        result = scaled @ result + np.eye(n, dtype=complex) / math.factorial(k)
     for _ in range(squarings):
         result = result @ result
     return CMatrix(result)
-
-
-def _factorial(k: int) -> float:
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def char_poly(a: CMatrix) -> np.ndarray:
@@ -561,13 +550,14 @@ def char_poly(a: CMatrix) -> np.ndarray:
 def _char_poly(a: np.ndarray) -> np.ndarray:
     """``char_poly`` of each matrix of an ``(N, n, n)`` stack, one row of
     coefficients per matrix, by the Faddeev-LeVerrier recursion run in
-    lockstep. Each row is the one its matrix gets alone."""
+    lockstep, one product per step. Each row is the one its matrix gets
+    alone."""
     count, n = a.shape[0], a.shape[-1]
     coeffs = np.zeros((count, n + 1), dtype=complex)
     coeffs[:, n] = 1.0
-    aux = np.zeros_like(a, dtype=complex)
+    product = np.zeros_like(a, dtype=complex)
     eye = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        aux = a @ aux + coeffs[:, n - k + 1, None, None] * eye
-        coeffs[:, n - k] = -np.trace(a @ aux, axis1=-2, axis2=-1) / k
+        product = a @ (product + coeffs[:, n - k + 1, None, None] * eye)
+        coeffs[:, n - k] = -np.trace(product, axis1=-2, axis2=-1) / k
     return coeffs * (-1.0) ** n

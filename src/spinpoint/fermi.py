@@ -42,13 +42,15 @@ class RepEigenAnalysis:
 
 def quadratic_fermi_rep(m: CMatrix) -> FermiQuadratic:
     """Build the 4x4 Fock representation of sum m_jk c_j^dag c_k by the
-    closed block rule."""
+    closed block rule. Raises ``NonFiniteError``, with no overflow
+    warning, when trace(m) overflows."""
     if m.rows != 2 or m.cols != 2:
         raise DimensionError(f"coefficient matrix must be 2x2, got "
                              f"{m.rows}x{m.cols}")
     rep = np.zeros((4, 4), dtype=complex)
     rep[1:3, 1:3] = m.data
-    rep[3, 3] = m.data[0, 0] + m.data[1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep[3, 3] = m.data[0, 0] + m.data[1, 1]
     return FermiQuadratic(m=m, rep=CMatrix(rep))
 
 

@@ -128,8 +128,11 @@ def _require_axis(axis) -> None:
 def nonnormal_hamiltonian(s: Spin, axis: int, z: complex) -> CMatrix:
     """s3 + z * s_axis for axis 1 or 2.
 
-    z = 1j gives the nilpotent family with a single Jordan block.
+    z = 1j gives the nilpotent family with a single Jordan block. Raises
+    ``NonFiniteError``, with no overflow warning, when an entry overflows.
     """
     _require_axis(axis)
     _, _, s1, s2, s3 = _operators(s)
-    return CMatrix(s3 + complex(z) * (s1 if axis == 1 else s2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = s3 + complex(z) * (s1 if axis == 1 else s2)
+    return CMatrix(h)

@@ -44,11 +44,19 @@ class TestNormalityReport:
 
         a = CMatrix(SIGMA3 + 1j * SIGMA1)
         expected = sp.normality_report(a)
-        monkeypatch.setattr("spinpoint.analysis.schur", failing_schur)
+        monkeypatch.setattr("spinpoint.analysis.schur_decompose", failing_schur)
         report = sp.normality_report(a)
         assert report.henrici is None
         assert report.defect == expected.defect > 0.0
         assert (report.is_normal, report.is_hermitian) == (False, False)
+
+    def test_finite_normal_matrix_whose_spectrum_overflows(self):
+        # The eigenvalues of 1e308 * ones(2, 2) are 0 and 2e308; the report
+        # needs no entry of A past the float range, and prints no warning.
+        report = sp.normality_report(CMatrix(1e308 * np.ones((2, 2))))
+        assert (report.is_normal, report.is_hermitian) == (True, True)
+        assert report.defect == 0.0
+        assert np.isfinite(report.henrici)
 
     def test_hermitian_input(self, rng):
         report = sp.normality_report(random_hermitian(rng, 4))
@@ -184,7 +192,7 @@ class TestHermitianPair:
         def no_schur(*args, **kwargs):
             raise AssertionError("schur called")
 
-        monkeypatch.setattr("spinpoint.analysis.schur", no_schur)
+        monkeypatch.setattr("spinpoint.analysis.schur_decompose", no_schur)
         got = [sp.hermitian_pair_is_normal(a, b) for a, b in pairs]
         assert got == verdicts
         assert verdicts == [False] * 3 + [True] * 3

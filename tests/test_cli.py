@@ -75,6 +75,14 @@ class TestGen:
         assert code == 0
         assert out.splitlines() == ["     0.5  0.5+0.5i", "0.5+0.5i      -0.5"]
 
+    def test_hz_past_the_float_range(self, run):
+        code, out, err = run("gen", "--twice-spin", "20", "--op", "hz",
+                             "--z", "1e308,0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("non-finite:")
+        assert len(err.splitlines()) == 1
+
     def test_determinism(self, run):
         first = run("gen", "--spin", "5/2", "--op", "h2")
         second = run("gen", "--spin", "5/2", "--op", "h2")
@@ -289,6 +297,15 @@ class TestPencilCommands:
                            "--steps", "64")
         assert code == 2
         assert err.startswith("sheet-tracking:")
+
+
+class TestCheck:
+    def test_normal_matrix_whose_spectrum_overflows(self, run, tmp_path):
+        path = tmp_path / "big.json"
+        matio.write_file(CMatrix(1e308 * np.ones((2, 2))), str(path))
+        code, out, err = run("check", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["normality"]["is_normal"] is True
 
 
 class TestFermi:

@@ -62,6 +62,25 @@ class TestConstruction:
         with pytest.raises(NonFiniteError):
             sp.scale(1e308, big)
 
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: sp.nonnormal_hamiltonian(sp.Spin(20), 1, 1e308), None),
+        (lambda: sp.nonnormal_hamiltonian(sp.Spin(20), 1, np.inf), None),
+        (lambda: sp.quadratic_fermi_rep(CMatrix(np.diag([1e308, 1e308]))),
+         None),
+        (lambda: sp.eigenvalues(CMatrix(1e308 * np.ones((2, 2))))[0], np.inf),
+        (lambda: sp.frobenius_norm(CMatrix(1e308 * np.ones((2, 2)))), np.inf),
+    ], ids=["hamiltonian", "hamiltonian-inf-z", "fermi-rep", "eigenvalues",
+            "frobenius-norm"])
+    def test_overflow_reaches_its_coded_result_without_warning(
+            self, call, expected):
+        # Past the float range a matrix result raises NonFiniteError and a
+        # norm or eigenvalue reads inf; the suite turns warnings into errors.
+        if expected is None:
+            with pytest.raises(NonFiniteError):
+                call()
+        else:
+            assert call() == expected
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(value=-1.0)
@@ -554,8 +573,8 @@ class TestLockstepStacks:
         assert np.array_equal(bit_pattern(got), bit_pattern(want))
 
     def test_zero_pivot_columns_among_live_matrices(self, rng):
-        # A dead matrix leaves the stack before its zero pivot divides, so
-        # no warning is raised.
+        # A zero pivot column divides as 1, so its matrix stays in the stack
+        # with multipliers 0 and no warning is raised.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in (2, 3, 5, 7):

@@ -522,6 +522,22 @@ class TestStackedLocator:
         assert sizes[1:] == [1] * (len(evaluations) - 12)
         assert evaluations[0] == 1
 
+    def test_polish_gives_up_when_a_step_grows(self):
+        # On diag(0, 1) + z sigma1, D(z) = -(1 + 4 z^2); with the slope 1
+        # in place of D' the step from 0.05 + 0.5i is D itself, |D| = 0.2,
+        # and the next one is about 1, which fails to halve it.
+        pencil = PencilFamily(a=CMatrix(np.diag([0.0, 1.0])),
+                              b=CMatrix(SIGMA1))
+        pairs = np.triu_indices(2, 1)
+        z0 = 0.05 + 0.5j
+        eigs0 = sp.eigenvalues(pencil.at(z0))
+        z1 = z0 - _spectral_disc(eigs0, pairs)
+        z, eigs, converged = exceptional._polish(
+            pencil, np.array([1.0]), pairs, z0, eigs0)
+        assert z == z1
+        assert np.array_equal(eigs, sp.eigenvalues(pencil.at(z1)))
+        assert converged is False
+
 
 def crafted_roots():
     """Root sets for ``_locate`` on H(z) = [[0, 1], [z - 3/10, 0]], whose
