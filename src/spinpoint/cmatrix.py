@@ -4,7 +4,9 @@
 every operation returns a fresh value, so instances can be freely shared
 between threads. Scalars are Python ``complex``. All construction paths
 reject non-finite entries, which is how operations that would overflow
-surface as errors instead of silently propagating NaN/Inf.
+surface as errors instead of silently propagating NaN/Inf; they run
+under ``np.errstate``, so numpy prints no warning first. Past the float
+range, ``det`` and ``trace`` have modulus inf.
 
 The heavy solvers follow fixed algorithm choices: eigenvalues and the
 Schur form come from Householder Hessenberg reduction plus implicit
@@ -21,11 +23,12 @@ bit:
 - The full-pivot elimination stops a matrix, scaled to unit entries, at
   its first pivot at or below the tolerance for it. The rank chain of
   ``nilpotency_report`` and the EP locator's multiplicities pass all
-  their matrices in one call (stops at the stack's tail leave a view);
-  the last live matrix, and the stack of one of ``rank`` and
-  ``nullspace``, is eliminated alone on plain 2-D indexing, with the
-  stack's broadcast shapes, so it matches the stack in every entry
-  (checked on numpy 2.4.6).
+  their matrices in one call. The working stack is a leading slice of
+  the output: stops at its tail shorten it, and a stop anywhere else
+  ends the lockstep. The matrices left then finish one at a time on
+  plain 2-D indexing, as does the stack of one of ``rank`` and
+  ``nullspace``, with the stack's broadcast shapes, so each matches the
+  stack in every entry (checked on numpy 2.4.6).
 - The partially pivoted LU behind ``det`` divides an exactly zero
   pivot column by 1, so the matrix stays in the stack with multipliers
   0, and its det is 0. Each other determinant is the product of its
@@ -46,7 +49,8 @@ from numbers import Integral
 
 import numpy as np
 
-from ._schur import _norms, _schur_stack, _unit_scale, schur_decompose
+from ._schur import (_ldexp, _norms, _schur_stack, _unit_scale,
+                     schur_decompose)
 from .errors import DimensionError, NonFiniteError
 
 __all__ = [
@@ -232,22 +236,26 @@ def _same_shape(a: CMatrix, b: CMatrix, what: str) -> None:
 
 def add(a: CMatrix, b: CMatrix) -> CMatrix:
     _same_shape(a, b, "add")
-    return CMatrix(a.data + b.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(a.data + b.data)
 
 
 def sub(a: CMatrix, b: CMatrix) -> CMatrix:
     _same_shape(a, b, "sub")
-    return CMatrix(a.data - b.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(a.data - b.data)
 
 
 def mul(a: CMatrix, b: CMatrix) -> CMatrix:
     if a.cols != b.rows:
         raise DimensionError(f"mul: inner dimensions {a.cols} vs {b.rows}")
-    return CMatrix(a.data @ b.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(a.data @ b.data)
 
 
 def scale(c: complex, a: CMatrix) -> CMatrix:
-    return CMatrix(complex(c) * a.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(complex(c) * a.data)
 
 
 def adjoint(a: CMatrix) -> CMatrix:
@@ -260,12 +268,14 @@ def commutator(a: CMatrix, b: CMatrix) -> CMatrix:
     a.require_square("commutator")
     b.require_square("commutator")
     _same_shape(a, b, "commutator")
-    return CMatrix(a.data @ b.data - b.data @ a.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(a.data @ b.data - b.data @ a.data)
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
     """Kronecker product: block (j, k) equals a_jk * B."""
-    return CMatrix(np.kron(a.data, b.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CMatrix(np.kron(a.data, b.data))
 
 
 def direct_sum(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -283,14 +293,16 @@ def frobenius_norm(a: CMatrix) -> float:
 
 def trace(a: CMatrix) -> complex:
     a.require_square("trace")
-    return complex(np.trace(a.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.trace(a.data))
 
 
 def det(a: CMatrix) -> complex:
     """Determinant via LU elimination with partial pivoting, the lockstep
     LU run on a stack of one."""
     a.require_square("det")
-    return complex(_det_lu(a.data[None])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(_det_lu(a.data[None])[0])
 
 
 def _det_lu(a: np.ndarray) -> np.ndarray:
@@ -349,11 +361,14 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     in row-major order, swaps its row and column into place and subtracts
     the broadcast product of the pivot row and the multipliers from the
     rows below, so each matrix gets the arithmetic it would get alone.
-    Matrices that stop at the tail of the working stack (every step of a
-    rank chain of powers) leave it as a slice of the output, any others
-    as a copy. The last live matrix, and a stack of one from the start,
-    goes on alone: one ``argmax``, a Python ``divmod``, a float stop test
-    and plain 2-D swaps, a swap of a row or column with itself skipped.
+    The working stack is always the leading matrices of the output, so
+    nothing is copied or written back. Matrices that stop at its tail
+    (every step of a rank chain of powers) shorten it; a stop anywhere
+    else ends the lockstep. Each matrix still in the stack, the last one
+    left, or a stack of one from the start, then goes on alone from the
+    step it reached: one ``argmax``, a Python ``divmod``, a float stop
+    test and plain 2-D swaps, a swap of a row or column with itself
+    skipped.
 
     Returns the reduced matrices B (each upper triangular in its leading
     r x r block), the ranks r and the column permutations applied to
@@ -367,28 +382,22 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
     out[:, :rows] = scaled
     out[:, rows] = np.arange(cols)
     ranks = [min(rows, cols)] * count
-    # live: the stack index of each working matrix; every: 0..len(live)-1.
-    live = every = np.arange(count)
-    work, copied, r = out, False, 0
-    while len(live) > 1 and r < min(rows, cols):
-        block = np.abs(work[:, r:rows, r:]).reshape(len(live),
+    # The working stack is always the leading matrices of `out`.
+    work, every, r = out, np.arange(count), 0
+    while len(work) > 1 and r < min(rows, cols):
+        block = np.abs(work[:, r:rows, r:]).reshape(len(work),
                                                     (rows - r) * (cols - r))
         flat = block.argmax(axis=1)
         small = block[every, flat] <= limit
-        left = len(live) - np.count_nonzero(small)
-        if left < len(live):
-            stopped = live[small]
-            for k in stopped.tolist():
-                ranks[k] = r
+        left = len(work) - np.count_nonzero(small)
+        if left < len(work):
+            if not small[left:].all():
+                break  # each finishes alone, the stopped ones at step r
+            ranks[left:len(work)] = [r] * (len(work) - left)
+            work, limit, flat, every = (work[:left], limit[:left],
+                                        flat[:left], every[:left])
             if not left:
                 break
-            if copied:
-                out[stopped] = work[small]
-            keep = slice(left) if small[left:].all() else ~small
-            copied = copied or isinstance(keep, np.ndarray)
-            live, work, limit, flat = (live[keep], work[keep], limit[keep],
-                                       flat[keep])
-            every = every[:left]
         i, j = np.divmod(flat, cols - r)
         tail = work[:, r:rows]
         tail[every, i], tail[:, 0] = tail[:, 0], tail[every, i]
@@ -398,23 +407,21 @@ def _full_pivot_eliminate(a: np.ndarray, tol: Tolerance, floors=0.0
         factor = work[:, r + 1:rows, r] / pivot[:, :1]
         work[:, r + 1:rows, r:] -= factor[:, :, None] * pivot[:, None, :]
         r += 1
-    if len(live) == 1:
-        m, stop = work[0], float(limit[0])
-        for r in range(r, min(rows, cols)):
-            block = np.abs(m[r:rows, r:])
-            i, j = divmod(int(block.argmax()), cols - r)
+    for k, stop in enumerate(limit.tolist()):
+        m = work[k]
+        for s in range(r, min(rows, cols)):
+            block = np.abs(m[s:rows, s:])
+            i, j = divmod(int(block.argmax()), cols - s)
             if block[i, j] <= stop:
-                ranks[int(live[0])] = r
+                ranks[k] = s
                 break
             if i:
-                m[r + i], m[r] = m[r], m[r + i].copy()
+                m[s + i], m[s] = m[s], m[s + i].copy()
             if j:
-                m[:, r + j], m[:, r] = m[:, r], m[:, r + j].copy()
-            pivot = m[r, r:]
-            m[r + 1:rows, r:] -= (m[r + 1:rows, r] / pivot[0])[:, None] \
+                m[:, s + j], m[:, s] = m[:, s], m[:, s + j].copy()
+            pivot = m[s, s:]
+            m[s + 1:rows, s:] -= (m[s + 1:rows, s] / pivot[0])[:, None] \
                 * pivot[None]
-    if copied:
-        out[live] = work
     return out[:, :rows], ranks, out[:, rows].real.astype(np.intp)
 
 
@@ -493,8 +500,9 @@ def schur(a: CMatrix) -> SchurForm:
     """
     a.require_square("schur")
     t, u = schur_decompose(a.data)
-    residual = _frobenius(a.data - u @ t @ u.conj().T)
-    return SchurForm(u=CMatrix(u), t=CMatrix(t), residual=residual)
+    t = CMatrix(t)
+    residual = _frobenius(a.data - u @ t.data @ u.conj().T)
+    return SchurForm(u=CMatrix(u), t=t, residual=residual)
 
 
 def matrix_power(a: CMatrix, k: int) -> CMatrix:
@@ -505,13 +513,14 @@ def matrix_power(a: CMatrix, k: int) -> CMatrix:
     result = np.eye(a.rows, dtype=complex)
     base = np.array(a.data)
     e = k
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e > 0:
-            base = base @ base
-    return CMatrix(result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while e > 0:
+            if e & 1:
+                result = result @ base
+            e >>= 1
+            if e > 0:
+                base = base @ base
+        return CMatrix(result)
 
 
 def matrix_exp(a: CMatrix) -> CMatrix:
@@ -520,21 +529,28 @@ def matrix_exp(a: CMatrix) -> CMatrix:
     The input is scaled by a power of two so its Frobenius norm is at
     most 0.5, a degree-13 truncated Taylor series is summed by Horner's
     rule, and the result is squared back up. For exactly nilpotent
-    inputs the finite series is reproduced to roundoff.
+    inputs the finite series is reproduced to roundoff. Where the norm
+    overflows, the squaring count comes from A scaled to unit entries.
     """
     a.require_square("matrix_exp")
     n = a.rows
-    norm = _frobenius(a.data)
+    ratio = _frobenius(a.data) / _EXP_TARGET_NORM
     squarings = 0
-    if norm > _EXP_TARGET_NORM:
-        squarings = int(np.ceil(np.log2(norm / _EXP_TARGET_NORM)))
-    scaled = a.data / (2.0 ** squarings)
+    if ratio == math.inf:
+        # Past the float range, log2 ||A||_F is e + log2 ||2**-e A||_F.
+        e, b = _unit_scale(a.data)
+        squarings = math.ceil(e + math.log2(np.linalg.norm(b)
+                                            / _EXP_TARGET_NORM))
+    elif ratio > 1.0:
+        squarings = int(np.ceil(np.log2(ratio)))
+    scaled = _ldexp(a.data, -squarings)
     result = np.eye(n, dtype=complex) / math.factorial(_EXP_TAYLOR_DEGREE)
     for k in range(_EXP_TAYLOR_DEGREE - 1, -1, -1):
         result = scaled @ result + np.eye(n, dtype=complex) / math.factorial(k)
-    for _ in range(squarings):
-        result = result @ result
-    return CMatrix(result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+        return CMatrix(result)
 
 
 def char_poly(a: CMatrix) -> np.ndarray:
@@ -544,7 +560,12 @@ def char_poly(a: CMatrix) -> np.ndarray:
     of one; the leading coefficient is (-1)^n.
     """
     a.require_square("char_poly")
-    return _char_poly(a.data[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _char_poly(a.data[None])[0]
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteError("characteristic polynomial coefficients must "
+                             "be finite")
+    return coeffs
 
 
 def _char_poly(a: np.ndarray) -> np.ndarray:

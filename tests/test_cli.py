@@ -83,6 +83,14 @@ class TestGen:
         assert err.startswith("non-finite:")
         assert len(err.splitlines()) == 1
 
+    def test_uncoded_value_error_is_invalid_input(self, run):
+        # A spin too large for numpy to build its matrix raises numpy's own
+        # ValueError, which the CLI reports under the fallback code.
+        code, out, err = run("gen", "--spin", "1e30", "--op", "s1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid-input:")
+
     def test_determinism(self, run):
         first = run("gen", "--spin", "5/2", "--op", "h2")
         second = run("gen", "--spin", "5/2", "--op", "h2")

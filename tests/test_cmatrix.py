@@ -15,6 +15,10 @@ from conftest import (SIGMA1, SIGMA3, bit_pattern, char_poly_reference,
                       hessenberg_reference, paired_spectra, random_complex,
                       random_cmatrix, random_hermitian, random_unitary)
 
+# Finite matrices whose sums, products, traces and determinants overflow.
+HUGE = CMatrix(1e308 * np.ones((2, 2)))
+HUGE_DIAGONAL = CMatrix(np.diag([1e308, 1e308]))
+
 
 class TestConstruction:
     def test_rejects_non_finite(self):
@@ -54,7 +58,6 @@ class TestConstruction:
         assert a == b
         assert a != c
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_operation_errors(self):
         big = CMatrix([[1e308]])
         with pytest.raises(NonFiniteError):
@@ -69,12 +72,29 @@ class TestConstruction:
          None),
         (lambda: sp.eigenvalues(CMatrix(1e308 * np.ones((2, 2))))[0], np.inf),
         (lambda: sp.frobenius_norm(CMatrix(1e308 * np.ones((2, 2)))), np.inf),
+        (lambda: sp.add(HUGE, HUGE), None),
+        (lambda: sp.sub(HUGE, -HUGE), None),
+        (lambda: sp.mul(HUGE, HUGE), None),
+        (lambda: sp.scale(10.0, HUGE), None),
+        (lambda: sp.kron(HUGE, CMatrix([[10.0]])), None),
+        (lambda: sp.commutator(HUGE, CMatrix([[0.0, 2.0], [3.0, 0.0]])),
+         None),
+        (lambda: sp.matrix_power(HUGE, 2), None),
+        (lambda: sp.det(HUGE_DIAGONAL), np.inf),
+        (lambda: sp.char_poly(HUGE), None),
+        (lambda: sp.trace(HUGE), np.inf),
+        (lambda: sp.schur(HUGE), None),
+        (lambda: sp.matrix_exp(HUGE), None),
+        (lambda: sp.matrix_exp(CMatrix([[800.0]])), None),
     ], ids=["hamiltonian", "hamiltonian-inf-z", "fermi-rep", "eigenvalues",
-            "frobenius-norm"])
+            "frobenius-norm", "add", "sub", "mul", "scale", "kron",
+            "commutator", "matrix-power", "det", "char-poly", "trace",
+            "schur", "exp-norm-overflows", "exp-squaring-overflows"])
     def test_overflow_reaches_its_coded_result_without_warning(
             self, call, expected):
-        # Past the float range a matrix result raises NonFiniteError and a
-        # norm or eigenvalue reads inf; the suite turns warnings into errors.
+        # Past the float range a matrix or vector result raises
+        # NonFiniteError, and a norm, eigenvalue, determinant or trace
+        # reads inf; the suite turns warnings into errors.
         if expected is None:
             with pytest.raises(NonFiniteError):
                 call()
@@ -449,9 +469,9 @@ class TestFullPivotStack:
             assert self.assert_matches_reference(a[None]) == [r]
 
     def test_tail_stops_after_a_copy_are_written_back(self, rng):
-        # Matrix 0 stops first and is not the tail, so the working stack
-        # is copied; matrices 3 and then 2 stop later at the tail of that
-        # copy, and must reach the output before matrix 1 goes on alone.
+        # Matrix 0 stops first, at step 1, and is not the tail, so the
+        # lockstep ends there; matrices 1, 2 and 3 then finish one at a
+        # time in place in the output, 3 stopping at step 2 and 2 at 4.
         u, v = random_unitary(rng, 5).data, random_unitary(rng, 5).data
         a = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-9]) @ v
         thresholds = [1e-1, 1e-12, 1e-8, 1e-3]
@@ -673,6 +693,14 @@ class TestExp:
         # scaling by a power of two and the squarings are exact here.
         a = CMatrix([[0.0, c], [0.0, 0.0]])
         assert sp.matrix_exp(a) == CMatrix([[1.0, c], [0.0, 1.0]])
+
+    def test_nilpotent_whose_norm_overflows_truncates_exactly(self):
+        # ||A||_F is past the float range, but exp(A) = I + A is not: the
+        # squaring count comes from A scaled to unit entries.
+        a = np.zeros((3, 3))
+        a[0, 1:] = 1.5e308
+        assert sp.frobenius_norm(CMatrix(a)) == np.inf
+        assert sp.matrix_exp(CMatrix(a)) == CMatrix(np.eye(3) + a)
 
     def test_exp_of_zero(self):
         assert sp.matrix_exp(CMatrix.zeros(3)) == CMatrix.identity(3)
